@@ -7,7 +7,6 @@
 #include "core/parallel_stage.hpp"
 #include "image/progressive.hpp"
 #include "sampling/replay.hpp"
-#include "sampling/tree_permutation.hpp"
 #include "simd/simd.hpp"
 #include "support/error.hpp"
 
@@ -293,8 +292,8 @@ makeConv2dAutomaton(GrayImage src, Kernel kernel,
     // Shared, immutable inputs for the stage closure (Property 1: the
     // stage reads only these and writes only its output buffer).
     auto input = std::make_shared<const GrayImage>(std::move(src));
-    auto plan = std::make_shared<const TreeSweepPlan>(
-        TreePermutation::twoDim(input->height(), input->width()));
+    auto plan = std::make_shared<const TreeSweepPlan>(input->height(),
+                                                      input->width());
     auto blur = std::make_shared<const Kernel>(std::move(kernel));
     const unsigned precision = config.precisionBits;
     // Reduced precision runs the integer MSB-first digit-elision path;

@@ -1,8 +1,8 @@
 #include "apps/debayer.hpp"
 
-#include "core/source_stage.hpp"
+#include "core/parallel_stage.hpp"
 #include "image/progressive.hpp"
-#include "sampling/tree_permutation.hpp"
+#include "sampling/replay.hpp"
 #include "support/error.hpp"
 
 namespace anytime {
@@ -101,8 +101,8 @@ makeDebayerAutomaton(GrayImage mosaic, const DebayerConfig &config)
     auto output = automaton->makeBuffer<RgbImage>("debayer.out");
 
     auto input = std::make_shared<const GrayImage>(std::move(mosaic));
-    auto plan = std::make_shared<const TreeSweepPlan>(
-        TreePermutation::twoDim(input->height(), input->width()));
+    auto plan = std::make_shared<const TreeSweepPlan>(input->height(),
+                                                      input->width());
     const std::uint64_t pixels = input->size();
     // Chunked steps amortize the per-step dispatch over real work.
     constexpr std::uint64_t chunk = 16;
@@ -110,19 +110,41 @@ makeDebayerAutomaton(GrayImage mosaic, const DebayerConfig &config)
     const std::uint64_t period = std::max<std::uint64_t>(
         1, steps / std::max<std::uint64_t>(1, config.publishCount));
 
-    auto stage = std::make_shared<DiffusiveSourceStage<RgbImage>>(
-        "debayer", output, RgbImage(input->width(), input->height()),
-        steps,
-        [input, plan, pixels](std::uint64_t step, RgbImage &out,
-                              StageContext &) {
-            const std::uint64_t end =
-                std::min(pixels, (step + 1) * chunk);
-            for (std::uint64_t s = step * chunk; s < end; ++s) {
-                plan->fill(out, s,
-                           debayerPixel(*input, plan->x(s), plan->y(s)));
-            }
-        },
-        period);
+    // Partitioned sweep (Section IV-C1), as in conv2d: tree block fills
+    // are order-dependent, so each worker logs its (sample, value) pairs
+    // and the window leader replays them in global sample order — every
+    // published version is bit-identical to the single-worker run.
+    using Partial = OrdinalLog<RgbPixel>;
+    SweepLayout layout;
+    layout.steps = steps;
+    layout.window = period;
+    layout.kind = PartitionKind::cyclic;
+    layout.checkpointStride = 16;
+    auto stage =
+        std::make_shared<PartitionedDiffusiveStage<RgbImage, Partial>>(
+            "debayer", output, RgbImage(input->width(), input->height()),
+            layout, [] { return Partial{}; },
+            [](Partial &partial) { partial.clear(); },
+            [input, plan, pixels](std::uint64_t step, Partial &partial,
+                                  StageContext &) {
+                const std::uint64_t end =
+                    std::min(pixels, (step + 1) * chunk);
+                for (std::uint64_t s = step * chunk; s < end; ++s) {
+                    partial.push_back(
+                        {s, debayerPixel(*input, plan->x(s), plan->y(s))});
+                }
+            },
+            [plan](RgbImage &state, std::vector<Partial> &partials,
+                   std::uint64_t, std::uint64_t) {
+                std::vector<const Partial *> logs;
+                logs.reserve(partials.size());
+                for (const Partial &partial : partials)
+                    logs.push_back(&partial);
+                replayOrdinalLogs<RgbPixel>(
+                    logs, [&](std::uint64_t s, const RgbPixel &value) {
+                        plan->fill(state, s, value);
+                    });
+            });
 
     automaton->addStage(std::move(stage), config.workers);
     return DebayerAutomaton{std::move(automaton), std::move(output)};

@@ -7,7 +7,6 @@
 #include "image/progressive.hpp"
 #include "sampling/lfsr_permutation.hpp"
 #include "sampling/replay.hpp"
-#include "sampling/tree_permutation.hpp"
 #include "simd/simd.hpp"
 #include "support/error.hpp"
 
@@ -152,8 +151,8 @@ makeHisteqAutomaton(GrayImage src, const HisteqConfig &config)
     // Stage 4: anytime apply via tree-permuted output sampling. Each
     // consumed LUT version triggers a fresh full sweep (asynchronous
     // pipeline semantics: the paper's source of histeq's 6x tail).
-    auto plan = std::make_shared<const TreeSweepPlan>(
-        TreePermutation::twoDim(input->height(), input->width()));
+    auto plan = std::make_shared<const TreeSweepPlan>(input->height(),
+                                                      input->width());
     const std::uint64_t apply_period = std::max<std::uint64_t>(
         1, pixels / std::max<std::uint64_t>(1, config.applyVersions));
     // Partitioned body: each consumed LUT version triggers a fresh

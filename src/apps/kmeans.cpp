@@ -4,7 +4,6 @@
 #include "core/transform_stage.hpp"
 #include "image/progressive.hpp"
 #include "sampling/replay.hpp"
-#include "sampling/tree_permutation.hpp"
 #include "simd/simd.hpp"
 #include "support/error.hpp"
 
@@ -152,8 +151,8 @@ makeKmeansAutomaton(RgbImage src, const KmeansConfig &config)
     auto seeds = std::make_shared<const std::vector<RgbPixel>>(
         kmeansSeeds(*input, config.clusters));
     auto index = std::make_shared<const CentroidIndex>(*seeds);
-    auto plan = std::make_shared<const TreeSweepPlan>(
-        TreePermutation::twoDim(input->height(), input->width()));
+    auto plan = std::make_shared<const TreeSweepPlan>(input->height(),
+                                                      input->width());
 
     const std::uint64_t pixels = input->size();
     // Chunked steps amortize the per-step dispatch over real work.

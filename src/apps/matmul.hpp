@@ -12,8 +12,8 @@
  * the two's-complement sign plane.
  *
  * This is the library's demonstration that the anytime constructions
- * are not image-specific: the same DiffusiveSourceStage machinery hosts
- * a linear-algebra kernel.
+ * are not image-specific: the same partitioned diffusive machinery
+ * hosts a linear-algebra kernel.
  */
 
 #ifndef ANYTIME_APPS_MATMUL_HPP

@@ -201,6 +201,10 @@ class TransformStage : public Stage
                 "workers");
         std::uint64_t seen_signal = 0;
         std::uint64_t processed_sum = 0;
+        // Finality of the inputs when last processed: a degraded close
+        // (markDegradedFinal) makes an input final without a new
+        // version, and that terminal transition is new input too.
+        bool processed_final = false;
         for (;;) {
             if (!ctx.checkpoint())
                 return;
@@ -216,7 +220,8 @@ class TransformStage : public Stage
             const bool all_final = std::apply(
                 [](const auto &...s) { return (s.final && ...); }, snaps);
 
-            if (!all_present || version_sum == processed_sum) {
+            if (!all_present || (version_sum == processed_sum &&
+                                 all_final == processed_final)) {
                 if (all_present && all_final)
                     return; // final inputs already processed
                 if (!all_present && all_final) {
@@ -251,6 +256,7 @@ class TransformStage : public Stage
             if (ctx.stopRequested())
                 return;
             processed_sum = version_sum;
+            processed_final = all_final;
             if (all_final)
                 return; // g(F_n) done: precise output published
         }
@@ -389,6 +395,7 @@ class TransformStage : public Stage
                         stage.out->publish(*state, last && sweepFinal);
                         if (last) {
                             processedSum = sweepVersionSum;
+                            processedFinal = sweepFinal;
                             return true;
                         }
                         // Fresher (non-final) inputs supersede this
@@ -429,7 +436,10 @@ class TransformStage : public Stage
                 [](const auto &...s) { return (s.version + ...); }, snaps);
             const bool all_final = std::apply(
                 [](const auto &...s) { return (s.final && ...); }, snaps);
-            if (!all_present || version_sum == processedSum) {
+            // Unchanged versions with changed finality is new input
+            // (see processed_final in the emit loop).
+            if (!all_present || (version_sum == processedSum &&
+                                 all_final == processedFinal)) {
                 if (!all_present && all_final) {
                     // Containment cascade (see the emit-loop variant):
                     // a quarantined upstream closed its buffer empty;
@@ -479,6 +489,7 @@ class TransformStage : public Stage
         std::uint64_t sweepVersionSum = 0;
         bool sweepFinal = false;
         std::uint64_t processedSum = 0;
+        bool processedFinal = false;
         std::optional<O> state;
     };
 

@@ -16,9 +16,11 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <vector>
 
 #include "image/image.hpp"
 #include "sampling/tree_permutation.hpp"
+#include "support/error.hpp"
 
 namespace anytime {
 
@@ -68,31 +70,41 @@ fillTreeBlock(Image<T> &out, const TreePermutation &perm,
  * geometry of every ordinal, materialized once so that sweeps that
  * re-run (e.g., a diffusive apply stage re-triggered per input version)
  * pay table lookups instead of recomputing the bit-reverse mapping per
- * pixel per sweep.
+ * pixel per sweep. Built by one O(1)-per-sample TreeSchedule::walk over
+ * the padded domain; no permutation table is materialized.
  */
 class TreeSweepPlan
 {
   public:
-    /** Build the plan for a permutation over (height, width). */
-    explicit TreeSweepPlan(const TreePermutation &perm)
+    /** Build the plan for a tree sweep over (height, width). */
+    TreeSweepPlan(std::uint64_t height, std::uint64_t width)
     {
-        const std::uint64_t height = perm.dims()[0];
-        const std::uint64_t width = perm.dims()[1];
         fatalIf(width >= (std::uint64_t(1) << 32) ||
                     height >= (std::uint64_t(1) << 32),
                 "TreeSweepPlan: extent too large");
-        const std::uint64_t n = perm.size();
+        const TreeSchedule schedule({height, width});
+        const std::size_t n = static_cast<std::size_t>(schedule.size());
         xs.resize(n);
         ys.resize(n);
         bw.resize(n);
         bh.resize(n);
-        for (std::uint64_t i = 0; i < n; ++i) {
-            const std::uint64_t flat = perm.map(i);
-            xs[i] = static_cast<std::uint32_t>(flat % width);
-            ys[i] = static_cast<std::uint32_t>(flat / width);
-            bh[i] = static_cast<std::uint32_t>(perm.blockExtent(i, 0));
-            bw[i] = static_cast<std::uint32_t>(perm.blockExtent(i, 1));
-        }
+        std::size_t k = 0;
+        schedule.walk([&](const std::uint64_t *coords,
+                          const std::uint64_t *block, std::uint64_t) {
+            ys[k] = static_cast<std::uint32_t>(coords[0]);
+            xs[k] = static_cast<std::uint32_t>(coords[1]);
+            bh[k] = static_cast<std::uint32_t>(block[0]);
+            bw[k] = static_cast<std::uint32_t>(block[1]);
+            ++k;
+        });
+        panicIf(k != n, "TreeSweepPlan: walk visited ", k,
+                " samples, expected ", n);
+    }
+
+    /** Build the plan for a permutation over (height, width). */
+    explicit TreeSweepPlan(const TreePermutation &perm)
+        : TreeSweepPlan(perm.dims()[0], perm.dims()[1])
+    {
     }
 
     /** Number of samples in the sweep. */

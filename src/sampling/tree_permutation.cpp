@@ -7,23 +7,22 @@
 
 namespace anytime {
 
-TreePermutation::TreePermutation(std::vector<std::uint64_t> extents_in)
+TreeSchedule::TreeSchedule(std::vector<std::uint64_t> extents_in)
     : extents(std::move(extents_in))
 {
     fatalIf(extents.empty(), "TreePermutation: no dimensions");
     fatalIf(extents.size() > 16,
             "TreePermutation supports at most 16 dimensions");
+    std::vector<unsigned> bitsPerDim;
     totalSize = 1;
-    paddedSize = 1;
-    allPow2 = true;
+    pow2 = true;
     for (std::uint64_t extent : extents) {
         fatalIf(extent == 0, "TreePermutation: zero extent");
         totalSize *= extent;
         const unsigned bits = (extent == 1) ? 0 : indexBits(extent);
         bitsPerDim.push_back(bits);
-        paddedSize *= std::uint64_t(1) << bits;
         totalBits += bits;
-        allPow2 = allPow2 && isPow2(extent);
+        pow2 = pow2 && isPow2(extent);
     }
 
     // Fix the bit-assignment schedule once: ordinal bits are dealt
@@ -31,55 +30,35 @@ TreePermutation::TreePermutation(std::vector<std::uint64_t> extents_in)
     // and each dimension fills its index from the most significant bit
     // downward (paper Figures 4 and 5).
     const unsigned dims = static_cast<unsigned>(extents.size());
-    {
-        unsigned received[16] = {};
-        unsigned cursor = 0;
-        blockCache.resize(static_cast<std::size_t>(totalBits + 1) * dims);
-        for (unsigned bits_used = 0; bits_used <= totalBits;
-             ++bits_used) {
-            for (unsigned d = 0; d < dims; ++d) {
-                const std::uint64_t padded_extent =
-                    std::uint64_t(1) << bitsPerDim[d];
-                blockCache[static_cast<std::size_t>(bits_used) * dims +
-                           d] =
-                    std::max<std::uint64_t>(
-                        padded_extent >> received[d], 1);
-            }
-            if (bits_used == totalBits)
+    unsigned received[16] = {};
+    unsigned cursor = 0;
+    blockCache.resize(static_cast<std::size_t>(totalBits + 1) * dims);
+    for (unsigned bits_used = 0; bits_used <= totalBits; ++bits_used) {
+        for (unsigned d = 0; d < dims; ++d) {
+            const std::uint64_t padded_extent = std::uint64_t(1)
+                                                << bitsPerDim[d];
+            blockCache[static_cast<std::size_t>(bits_used) * dims + d] =
+                std::max<std::uint64_t>(padded_extent >> received[d], 1);
+        }
+        if (bits_used == totalBits)
+            break;
+        unsigned d = 0;
+        for (unsigned probe = 0; probe < dims; ++probe) {
+            d = dims - 1 - ((cursor + probe) % dims);
+            if (received[d] < bitsPerDim[d]) {
+                cursor = (cursor + probe + 1) % dims;
                 break;
-            unsigned d = 0;
-            for (unsigned probe = 0; probe < dims; ++probe) {
-                d = dims - 1 - ((cursor + probe) % dims);
-                if (received[d] < bitsPerDim[d]) {
-                    cursor = (cursor + probe + 1) % dims;
-                    break;
-                }
-            }
-            schedDim.push_back(static_cast<std::uint8_t>(d));
-            schedBit.push_back(static_cast<std::uint8_t>(
-                bitsPerDim[d] - 1 - received[d]));
-            ++received[d];
-        }
-    }
-
-    if (!allPow2) {
-        table.reserve(totalSize);
-        paddedOrdinals.reserve(totalSize);
-        for (std::uint64_t i = 0; i < paddedSize; ++i) {
-            const std::uint64_t flat = mapPadded(i);
-            if (flat != totalSize) {
-                table.push_back(flat);
-                paddedOrdinals.push_back(i);
             }
         }
-        panicIf(table.size() != totalSize,
-                "tree permutation table has ", table.size(),
-                " entries, expected ", totalSize);
+        schedDim.push_back(static_cast<std::uint8_t>(d));
+        schedBit.push_back(
+            static_cast<std::uint8_t>(bitsPerDim[d] - 1 - received[d]));
+        ++received[d];
     }
 }
 
 std::uint64_t
-TreePermutation::mapPadded(std::uint64_t i) const
+TreeSchedule::mapPadded(std::uint64_t i) const
 {
     const unsigned dims = static_cast<unsigned>(extents.size());
 
@@ -102,18 +81,8 @@ TreePermutation::mapPadded(std::uint64_t i) const
     return flat;
 }
 
-std::uint64_t
-TreePermutation::map(std::uint64_t i) const
-{
-    panicIf(i >= totalSize, "tree permutation ordinal ", i,
-            " out of range ", totalSize);
-    if (allPow2)
-        return mapPadded(i);
-    return table[i];
-}
-
 unsigned
-TreePermutation::levelAfter(std::uint64_t samples) const
+TreeSchedule::levelAfter(std::uint64_t samples) const
 {
     if (samples <= 1)
         return 0;
@@ -130,25 +99,58 @@ TreePermutation::levelAfter(std::uint64_t samples) const
     return level;
 }
 
+TreePermutation::TreePermutation(std::vector<std::uint64_t> extents)
+    : schedule(std::move(extents))
+{
+    if (schedule.allPow2())
+        return;
+    const std::vector<std::uint64_t> &dims = schedule.dims();
+    table.reserve(schedule.size());
+    paddedOrdinals.reserve(schedule.size());
+    schedule.walk([&](const std::uint64_t *coords, const std::uint64_t *,
+                      std::uint64_t padded) {
+        std::uint64_t flat = 0;
+        for (std::size_t d = 0; d < dims.size(); ++d)
+            flat = flat * dims[d] + coords[d];
+        table.push_back(flat);
+        paddedOrdinals.push_back(padded);
+    });
+    panicIf(table.size() != schedule.size(), "tree permutation table has ",
+            table.size(), " entries, expected ", schedule.size());
+}
+
+std::uint64_t
+TreePermutation::map(std::uint64_t i) const
+{
+    panicIf(i >= size(), "tree permutation ordinal ", i, " out of range ",
+            size());
+    if (schedule.allPow2())
+        return schedule.mapPadded(i);
+    return table[i];
+}
+
+unsigned
+TreePermutation::levelAfter(std::uint64_t samples) const
+{
+    return schedule.levelAfter(samples);
+}
+
 std::uint64_t
 TreePermutation::blockExtent(std::uint64_t ordinal, unsigned dim) const
 {
-    panicIf(ordinal >= totalSize, "tree block ordinal ", ordinal,
-            " out of range ", totalSize);
-    panicIf(dim >= extents.size(), "tree block dimension out of range");
+    panicIf(ordinal >= size(), "tree block ordinal ", ordinal,
+            " out of range ", size());
+    panicIf(dim >= dims().size(), "tree block dimension out of range");
     const std::uint64_t padded =
-        allPow2 ? ordinal : paddedOrdinals[ordinal];
-    const unsigned bits_used = (padded == 0) ? 0 : ilog2(padded) + 1;
-    return blockCache[static_cast<std::size_t>(bits_used) *
-                          extents.size() +
-                      dim];
+        schedule.allPow2() ? ordinal : paddedOrdinals[ordinal];
+    return schedule.blockExtent(TreeSchedule::levelOf(padded), dim);
 }
 
 std::vector<std::uint64_t>
 TreePermutation::blockExtents(std::uint64_t ordinal) const
 {
-    std::vector<std::uint64_t> block(extents.size());
-    for (unsigned d = 0; d < extents.size(); ++d)
+    std::vector<std::uint64_t> block(dims().size());
+    for (unsigned d = 0; d < block.size(); ++d)
         block[d] = blockExtent(ordinal, d);
     return block;
 }

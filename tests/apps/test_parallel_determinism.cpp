@@ -5,8 +5,9 @@
  * partitioned merge is deterministic, so intra-stage versions must be
  * bit-identical to the single-worker run, and the final output must be
  * the precise baseline result. Covers all three permutation families:
- * tree (conv2d, kmeans assign, histeq apply), LFSR (histeq histogram,
- * both cyclic and block partitions), and sequential (matmul planes).
+ * tree (conv2d, debayer, kmeans assign, histeq apply), LFSR (histeq
+ * histogram, both cyclic and block partitions), and sequential (matmul
+ * planes).
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "apps/conv2d.hpp"
+#include "apps/debayer.hpp"
 #include "apps/histeq.hpp"
 #include "apps/kmeans.hpp"
 #include "apps/matmul.hpp"
@@ -81,6 +83,31 @@ TEST(ParallelDeterminism, Conv2dTreeSampling)
         else
             expectSameVersions<GrayImage>(reference, versions, "conv2d",
                                           workers);
+    }
+}
+
+TEST(ParallelDeterminism, DebayerTreeSampling)
+{
+    // Non-power-of-two extents: the padded tree walk skips samples.
+    const GrayImage mosaic = bayerMosaic(generateColorScene(45, 38, 9));
+    const RgbImage precise = debayer(mosaic);
+
+    std::vector<TimelineRecorder<RgbImage>::Entry> reference;
+    for (const unsigned workers : kWorkerCounts) {
+        DebayerConfig config;
+        config.publishCount = 16;
+        config.workers = workers;
+        auto bundle = makeDebayerAutomaton(mosaic, config);
+        const auto versions = recordRun(*bundle.automaton, *bundle.output);
+        ASSERT_FALSE(versions.empty());
+        EXPECT_TRUE(versions.back().final);
+        EXPECT_TRUE(*versions.back().value == precise)
+            << "workers " << workers;
+        if (workers == 1)
+            reference = versions;
+        else
+            expectSameVersions<RgbImage>(reference, versions, "debayer",
+                                         workers);
     }
 }
 

@@ -376,6 +376,73 @@ TEST_F(ChaosCoreTest, DownstreamFinishesOnQuarantinedUpstreamOutput)
     EXPECT_EQ(*out_snapshot.value, *mid_snapshot.value * 2);
 }
 
+TEST_F(ChaosCoreTest, PartitionedReaderFinishesOnQuarantinedUpstream)
+{
+    // Same shape as above with a partitioned-body transform reader on
+    // two workers: its decision round must also treat the degraded
+    // terminal close of an already-processed input as new input.
+    fault::FaultInjector::arm(
+        fault::FaultPlan::parse("stage.body:src=throw@6"));
+    Automaton automaton;
+    automaton.setFaultPolicy(FaultPolicy::quarantine);
+    auto mid = automaton.makeBuffer<std::uint64_t>("mid");
+    auto out = automaton.makeBuffer<std::uint64_t>("final");
+    SweepLayout layout;
+    layout.steps = 32;
+    layout.window = 4;
+    layout.checkpointStride = 1;
+    auto source = std::make_shared<
+        PartitionedDiffusiveStage<std::uint64_t, std::uint64_t>>(
+        "src", mid, std::uint64_t{0}, layout,
+        [] { return std::uint64_t{0}; },
+        [](std::uint64_t &partial) { partial = 0; },
+        [](std::uint64_t, std::uint64_t &partial, StageContext &) {
+            partial += 1;
+        },
+        [](std::uint64_t &state, std::vector<std::uint64_t> &partials,
+           std::uint64_t, std::uint64_t) {
+            for (const std::uint64_t partial : partials)
+                state += partial;
+        });
+    // Two steps, one per worker: each adds the input once.
+    PartitionedBody<std::uint64_t, std::uint64_t, std::uint64_t> body;
+    body.layout.steps = 2;
+    body.layout.window = 2;
+    body.layout.checkpointStride = 1;
+    body.makePartial = [] { return std::uint64_t{0}; };
+    body.resetPartial = [](std::uint64_t &partial) { partial = 0; };
+    body.init = [](const std::uint64_t &) { return std::uint64_t{0}; };
+    body.step = [](const std::uint64_t &value, std::uint64_t,
+                   std::uint64_t &partial,
+                   StageContext &) { partial += value; };
+    body.merge = [](std::uint64_t &state,
+                    std::vector<std::uint64_t> &partials, std::uint64_t,
+                    std::uint64_t) {
+        for (const std::uint64_t partial : partials)
+            state += partial;
+    };
+    auto transform = std::make_shared<TransformStage<std::uint64_t,
+                                                     std::uint64_t>>(
+        "double", mid, out, std::move(body));
+    automaton.addStage(std::move(source), 1);
+    automaton.addStage(std::move(transform), 2);
+    automaton.start();
+    EXPECT_TRUE(automaton.waitUntilDone(30s));
+    automaton.shutdown();
+    fault::FaultInjector::disarm();
+    EXPECT_TRUE(automaton.failed());
+    EXPECT_TRUE(automaton.degraded());
+    ASSERT_TRUE(mid->final());
+    ASSERT_TRUE(out->final());
+    EXPECT_TRUE(mid->degraded());
+    const auto mid_snapshot = mid->read();
+    const auto out_snapshot = out->read();
+    ASSERT_TRUE(mid_snapshot.value != nullptr);
+    ASSERT_TRUE(out_snapshot.value != nullptr);
+    EXPECT_TRUE(out_snapshot.degraded);
+    EXPECT_EQ(*out_snapshot.value, *mid_snapshot.value * 2);
+}
+
 TEST_F(ChaosCoreTest, PoolDispatchFaultIsAbsorbed)
 {
     // A throw at the dispatch site must be absorbed by the pool: the

@@ -7,11 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/transform_stage.hpp"
+#include "sampling/replay.hpp"
 
 namespace anytime {
 namespace {
@@ -198,6 +200,73 @@ TEST(TransformStage, ReadsAndWritesReportGraphEdges)
     ASSERT_EQ(stage.reads().size(), 1u);
     EXPECT_EQ(stage.reads()[0], in.get());
     EXPECT_EQ(stage.writes(), out.get());
+}
+
+/**
+ * Run @p stage on a single-worker context, let it process a non-final
+ * input, then close that input degraded without a new version. The
+ * stage must treat the terminal transition as new input: re-run on the
+ * (now final) value and close its own output final and degraded.
+ */
+template <typename Stage>
+void
+expectFinishesOnDegradedClose(Stage &stage, VersionedBuffer<int> &in,
+                              VersionedBuffer<int> &out)
+{
+    in.publish(5, false);
+    ManualContext mc;
+    std::thread runner([&] {
+        StageContext ctx = mc.make();
+        stage.run(ctx);
+    });
+    while (out.version() == 0)
+        std::this_thread::yield();
+    in.markDegradedFinal(0.5);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!out.final() && std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    mc.source.request_stop(); // unblocks a stage that missed the close
+    runner.join();
+    EXPECT_TRUE(out.final());
+    EXPECT_TRUE(out.read().degraded);
+    EXPECT_EQ(*out.read().value, 10);
+}
+
+TEST(TransformStage, DegradedCloseOfProcessedInputFinishesOutput)
+{
+    auto in = std::make_shared<VersionedBuffer<int>>("in");
+    auto out = std::make_shared<VersionedBuffer<int>>("out");
+    TransformStage<int, int> stage(
+        "double", in, out,
+        [](const int &value, Emitter<int> &emitter, StageContext &) {
+            emitter.emit(value * 2, true);
+        });
+    expectFinishesOnDegradedClose(stage, *in, *out);
+}
+
+TEST(TransformStage, PartitionedDegradedCloseOfProcessedInputFinishesOutput)
+{
+    using Partial = OrdinalLog<int>;
+    auto in = std::make_shared<VersionedBuffer<int>>("in");
+    auto out = std::make_shared<VersionedBuffer<int>>("out");
+    PartitionedBody<Partial, int, int> body;
+    body.layout.steps = 1;
+    body.layout.window = 1;
+    body.layout.checkpointStride = 1;
+    body.makePartial = [] { return Partial{}; };
+    body.resetPartial = [](Partial &partial) { partial.clear(); };
+    body.init = [](const int &) { return 0; };
+    body.step = [](const int &value, std::uint64_t step, Partial &partial,
+                   StageContext &) { partial.push_back({step, value * 2}); };
+    body.merge = [](int &state, std::vector<Partial> &partials,
+                    std::uint64_t, std::uint64_t) {
+        for (const Partial &partial : partials)
+            for (const auto &write : partial)
+                state = write.value;
+    };
+    TransformStage<int, int> stage("double", in, out, std::move(body));
+    expectFinishesOnDegradedClose(stage, *in, *out);
 }
 
 TEST(TransformStage, StopWhileWaitingExitsCleanly)

@@ -167,6 +167,100 @@ INSTANTIATE_TEST_SUITE_P(
                       std::vector<std::uint64_t>{4, 4, 4},
                       std::vector<std::uint64_t>{2, 3, 5, 7}));
 
+/**
+ * The incremental walk against its closed-form specification: walking
+ * the padded domain must visit exactly the in-range ordinals of
+ * mapPadded(), in order, with the coordinates and level block extents
+ * of each; and the permutation's table (built from the walk) must
+ * agree with both.
+ */
+void
+expectWalkMatchesClosedForm(const std::vector<std::uint64_t> &extents)
+{
+    const TreeSchedule schedule(extents);
+    const std::size_t dims = extents.size();
+    struct Visited
+    {
+        std::uint64_t flat;
+        std::uint64_t padded;
+    };
+    std::vector<Visited> walked;
+    walked.reserve(schedule.size());
+    std::uint64_t block_mismatches = 0;
+    schedule.walk([&](const std::uint64_t *coords, const std::uint64_t *block,
+                      std::uint64_t padded) {
+        std::uint64_t flat = 0;
+        for (std::size_t d = 0; d < dims; ++d) {
+            flat = flat * extents[d] + coords[d];
+            block_mismatches +=
+                block[d] !=
+                schedule.blockExtent(TreeSchedule::levelOf(padded), d);
+        }
+        walked.push_back({flat, padded});
+    });
+    ASSERT_EQ(walked.size(), schedule.size());
+    EXPECT_EQ(block_mismatches, 0u);
+
+    const TreePermutation perm(extents);
+    ASSERT_EQ(perm.size(), schedule.size());
+    std::size_t k = 0;
+    for (std::uint64_t i = 0; i < schedule.paddedSize(); ++i) {
+        const std::uint64_t flat = schedule.mapPadded(i);
+        if (flat == schedule.size())
+            continue;
+        ASSERT_LT(k, walked.size()) << "padded ordinal " << i;
+        ASSERT_EQ(walked[k].padded, i) << "ordinal " << k;
+        ASSERT_EQ(walked[k].flat, flat) << "ordinal " << k;
+        ASSERT_EQ(perm.map(k), flat) << "ordinal " << k;
+        const unsigned level = TreeSchedule::levelOf(i);
+        for (unsigned d = 0; d < dims; ++d)
+            ASSERT_EQ(perm.blockExtent(k, d), schedule.blockExtent(level, d))
+                << "ordinal " << k << " dim " << d;
+        ++k;
+    }
+    EXPECT_EQ(k, walked.size());
+}
+
+class TreeWalk : public ::testing::TestWithParam<std::vector<std::uint64_t>>
+{
+};
+
+TEST_P(TreeWalk, MatchesClosedForm)
+{
+    expectWalkMatchesClosedForm(GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, TreeWalk,
+    ::testing::Values(
+        // 1-D: trivial, odd, 2^k and 2^k +- 1.
+        std::vector<std::uint64_t>{1}, std::vector<std::uint64_t>{2},
+        std::vector<std::uint64_t>{7}, std::vector<std::uint64_t>{1023},
+        std::vector<std::uint64_t>{1024}, std::vector<std::uint64_t>{1025},
+        // 2-D: degenerate rows/columns, odd, 2^k +- 1, video frames.
+        std::vector<std::uint64_t>{1, 1}, std::vector<std::uint64_t>{1, 37},
+        std::vector<std::uint64_t>{37, 1}, std::vector<std::uint64_t>{13, 7},
+        std::vector<std::uint64_t>{31, 33},
+        std::vector<std::uint64_t>{64, 64},
+        std::vector<std::uint64_t>{65, 63},
+        std::vector<std::uint64_t>{1023, 1025},
+        std::vector<std::uint64_t>{720, 1280},
+        std::vector<std::uint64_t>{1152, 1152},
+        // 3-D, including a unit extent.
+        std::vector<std::uint64_t>{3, 5, 7},
+        std::vector<std::uint64_t>{4, 1, 9},
+        std::vector<std::uint64_t>{17, 8, 33}));
+
+TEST(TreeSchedule, LevelOfCountsUsedOrdinalBits)
+{
+    EXPECT_EQ(TreeSchedule::levelOf(0), 0u);
+    EXPECT_EQ(TreeSchedule::levelOf(1), 1u);
+    EXPECT_EQ(TreeSchedule::levelOf(2), 2u);
+    EXPECT_EQ(TreeSchedule::levelOf(3), 2u);
+    EXPECT_EQ(TreeSchedule::levelOf(4), 3u);
+    EXPECT_EQ(TreeSchedule::levelOf(1023), 10u);
+}
+
 TEST(TreePermutation, NonPow2KeepsProgressiveOrder)
 {
     // For non-power-of-two extents the padded schedule is filtered; the
