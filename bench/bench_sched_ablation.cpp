@@ -16,7 +16,7 @@
 
 #include "bench_common.hpp"
 #include "core/automaton.hpp"
-#include "core/source_stage.hpp"
+#include "core/parallel_stage.hpp"
 #include "core/transform_stage.hpp"
 #include "harness/profiler.hpp"
 #include "harness/report.hpp"
@@ -57,16 +57,24 @@ runDiamond(unsigned f_workers, unsigned i_workers)
     auto h_out = automaton.makeBuffer<long>("h");
     auto i_out = automaton.makeBuffer<long>("i");
 
-    // f: the longest stage (diffusive, parallelizable).
-    const std::uint64_t f_steps = 256;
+    // f: the longest stage (diffusive, parallelizable): each worker
+    // counts its slice of every 32-step window, the leader adds them.
+    SweepLayout f_layout;
+    f_layout.steps = 256;
+    f_layout.window = 32;
     automaton.addStage(
-        std::make_shared<DiffusiveSourceStage<long>>(
-            "f", f_out, 0L, f_steps,
-            [](std::uint64_t, long &state, StageContext &) {
+        std::make_shared<PartitionedDiffusiveStage<long, long>>(
+            "f", f_out, 0L, f_layout, [] { return 0L; },
+            [](long &partial) { partial = 0; },
+            [](std::uint64_t, long &partial, StageContext &) {
                 spin(60'000);
-                state += 1;
+                partial += 1;
             },
-            /*publish_period=*/32, /*batch=*/8),
+            [](long &state, std::vector<long> &partials, std::uint64_t,
+               std::uint64_t) {
+                for (const long partial : partials)
+                    state += partial;
+            }),
         f_workers);
 
     // g and h: medium anytime children (2 internal levels each).

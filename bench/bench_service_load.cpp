@@ -28,7 +28,7 @@
 #include <thread>
 #include <vector>
 
-#include "core/source_stage.hpp"
+#include "core/parallel_stage.hpp"
 
 #include "apps/conv2d.hpp"
 #include "apps/kmeans.hpp"
@@ -220,14 +220,22 @@ overloadRequest(unsigned stage_workers, double min_quality)
         constexpr std::uint64_t steps = 32;
         auto automaton = std::make_unique<Automaton>();
         auto out = automaton->makeBuffer<long>("spin");
+        SweepLayout layout;
+        layout.steps = steps;
+        layout.window = 1;
         automaton->addStage(
-            std::make_shared<DiffusiveSourceStage<long>>(
-                "spin", out, 0L, steps,
-                [](std::uint64_t, long &state, StageContext &) {
-                    state += 1;
+            std::make_shared<PartitionedDiffusiveStage<long, long>>(
+                "spin", out, 0L, layout, [] { return 0L; },
+                [](long &partial) { partial = 0; },
+                [](std::uint64_t, long &partial, StageContext &) {
+                    partial += 1;
                     std::this_thread::sleep_for(750us);
                 },
-                /*publish_period=*/1, /*batch=*/1),
+                [](long &state, std::vector<long> &partials,
+                   std::uint64_t, std::uint64_t) {
+                    for (const long partial : partials)
+                        state += partial;
+                }),
             stage_workers);
         PreparedPipeline pipeline;
         pipeline.progress = [out] {

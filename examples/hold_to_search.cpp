@@ -103,7 +103,7 @@ main(int argc, char **argv)
                     board.scores[doc] = relevance(doc, query_hash);
                     ++board.scored;
                 },
-                /*publish_period=*/corpus / 64, /*batch=*/1024));
+                /*publish_period=*/corpus / 64));
 
         automaton.addStage(makeFunctionStage<TopK, ScoreBoard>(
             "topk", board_buf, top_buf,

@@ -20,9 +20,9 @@
  *    its slice into a private partial, and the leader merges partials
  *    in fixed partition order — so the published version sequence is
  *    bit-identical to a single-worker run, for every version.
- *  - PartitionedDiffusiveStage: the multi-worker counterpart of
- *    DiffusiveSourceStage (which serializes its state updates under a
- *    mutex and therefore cannot scale).
+ *  - PartitionedDiffusiveStage: the multi-worker diffusive source.
+ *    DiffusiveSourceStage is single-worker by contract; every gang runs
+ *    through this stage or a PartitionedBody transform.
  *
  * All blocking waits take the automaton's stop token, so stop/pause
  * never deadlocks a gang: a worker that exits early leaves the barrier,
@@ -321,6 +321,23 @@ struct SweepGang
             partials.push_back(make());
     }
 
+    /**
+     * Degradation contract (DESIGN §12): a worker the watchdog
+     * expelled is missing its partition from this and every later
+     * window, so every publish after an expulsion must carry the
+     * surviving fraction as its QoR bound. Window callbacks call this
+     * (leader only) before they publish; the mark is sticky.
+     */
+    template <typename O>
+    void
+    markExpelled(VersionedBuffer<O> &out) const
+    {
+        const unsigned expelled = barrier.expelledCount();
+        if (expelled > 0)
+            out.markDegraded(1.0 - static_cast<double>(expelled) /
+                                       static_cast<double>(partials.size()));
+    }
+
     SweepBarrier barrier;
     std::vector<P> partials;
     SweepObs obs;
@@ -595,24 +612,14 @@ class PartitionedDiffusiveStage : public Stage
                                                   makePartial, obsHandles);
         });
         detail::WorkerGaugeGuard guard(obsHandles.workers);
-        const unsigned gangSize = ctx.workerCount();
         const SweepStatus status = runPartitionedSweep(
             ctx, *gang, layout, resetPartial,
             [this](std::uint64_t step, P &partial, StageContext &c) {
                 stepFn(step, partial, c);
             },
-            [this, gangSize](std::vector<P> &partials,
-                             std::uint64_t begin, std::uint64_t end) {
-                // Degradation contract: once the watchdog expelled a
-                // worker, its partition is missing from this and every
-                // later window — mark the buffer (sticky) with the
-                // surviving fraction as the QoR bound before the
-                // publish so each degraded snapshot carries it.
-                const unsigned expelled = gang->barrier.expelledCount();
-                if (expelled > 0)
-                    out->markDegraded(
-                        1.0 - static_cast<double>(expelled) /
-                                  static_cast<double>(gangSize));
+            [this](std::vector<P> &partials, std::uint64_t begin,
+                   std::uint64_t end) {
+                gang->markExpelled(*out);
                 mergeFn(state, partials, begin, end);
                 out->publish(state, end == layout.steps);
                 return true;

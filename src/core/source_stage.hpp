@@ -8,19 +8,16 @@
  *
  * DiffusiveSourceStage implements the refinement of Section III-B2: each
  * step f_i(I, O_{i-1}) builds on the running output, so no work is
- * redundant. Steps are indexed by a sample ordinal; with more than one
- * worker, ordinals are claimed in batches from a shared counter
- * (equivalent to the paper's cyclic distribution at batch granularity),
- * which requires step applications to be commutative or to touch
- * disjoint output elements — exactly the input/output-sampling stages
- * the paper builds.
+ * redundant. Steps are indexed by a sample ordinal and applied in
+ * ordinal order on a single worker, so the step function may mutate a
+ * running state that does not commute. A sweep that should scale
+ * across workers (Section IV-C1) is a PartitionedDiffusiveStage
+ * (core/parallel_stage.hpp) instead.
  */
 
 #ifndef ANYTIME_CORE_SOURCE_STAGE_HPP
 #define ANYTIME_CORE_SOURCE_STAGE_HPP
 
-#include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -29,8 +26,6 @@
 #include "core/buffer.hpp"
 #include "core/stage.hpp"
 #include "support/error.hpp"
-#include "support/sync.hpp"
-#include "support/thread_annotations.hpp"
 
 namespace anytime {
 
@@ -101,9 +96,10 @@ class IterativeSourceStage : public Stage
 };
 
 /**
- * Diffusive anytime source: @c steps incremental updates applied to a
- * running output state, published every @c publishPeriod completed
- * steps and once more (final) after the last step.
+ * Diffusive anytime source: @c steps incremental updates applied in
+ * step order to a running output state, published after step 0, every
+ * @c publishPeriod steps after that, and once more (final) after the
+ * last step. Single-worker by contract.
  *
  * @tparam O Output value type.
  */
@@ -122,45 +118,35 @@ class DiffusiveSourceStage : public Stage
      * @param steps          Total number of diffusive steps n.
      * @param fn             Step body.
      * @param publish_period Steps between published versions (>= 1).
-     * @param batch          Steps claimed per worker batch (>= 1);
-     *                       only meaningful with multiple workers.
      */
     DiffusiveSourceStage(std::string name,
                          std::shared_ptr<VersionedBuffer<O>> out,
                          O initial, std::uint64_t steps, StepFn fn,
-                         std::uint64_t publish_period,
-                         std::uint64_t batch = 256)
+                         std::uint64_t publish_period)
         : Stage(std::move(name)), out(std::move(out)),
           state(std::move(initial)), steps(steps), fn(std::move(fn)),
-          publishPeriod(publish_period),
-          batchSize(std::min(batch, publish_period))
+          publishPeriod(publish_period)
     {
         fatalIf(steps == 0, "DiffusiveSourceStage: zero steps");
         fatalIf(publish_period == 0,
                 "DiffusiveSourceStage: zero publish period");
-        fatalIf(batch == 0, "DiffusiveSourceStage: zero batch size");
-        // Batches coarser than the publish period would silently lower
-        // the version granularity the caller asked for.
     }
 
     void
     run(StageContext &ctx) override
     {
-        for (;;) {
+        fatalIf(ctx.workerCount() != 1,
+                "DiffusiveSourceStage supports a single worker; use a "
+                "PartitionedDiffusiveStage to run a sweep on multiple "
+                "workers");
+        for (std::uint64_t step = 0; step < steps; ++step) {
             if (!ctx.checkpoint())
                 return;
-            const std::uint64_t begin =
-                claim.fetch_add(batchSize, std::memory_order_relaxed);
-            if (begin >= steps)
-                return; // all work claimed; publisher was the finisher
-            const std::uint64_t end = std::min(begin + batchSize, steps);
-
-            MutexLock lock(mutex);
-            for (std::uint64_t step = begin; step < end; ++step)
-                fn(step, state, ctx);
-            ctx.addWork(end - begin);
-            completed += end - begin;
-            maybePublish();
+            fn(step, state, ctx);
+            ctx.addWork();
+            const bool is_final = (step + 1 == steps);
+            if (is_final || step % publishPeriod == 0)
+                out->publish(state, is_final);
         }
     }
 
@@ -173,29 +159,11 @@ class DiffusiveSourceStage : public Stage
     const BufferBase *writes() const override { return out.get(); }
 
   private:
-    /** Publish under the state mutex when a period boundary is crossed
-     *  or the computation is complete. */
-    void
-    maybePublish() ANYTIME_REQUIRES(mutex)
-    {
-        const bool is_final = (completed == steps);
-        if (!is_final && completed < nextMark)
-            return;
-        while (nextMark <= completed)
-            nextMark += publishPeriod;
-        out->publish(state, is_final);
-    }
-
     std::shared_ptr<VersionedBuffer<O>> out;
-    Mutex mutex;
-    O state ANYTIME_GUARDED_BY(mutex);
+    O state;
     std::uint64_t steps;
     StepFn fn;
     std::uint64_t publishPeriod;
-    std::uint64_t batchSize;
-    std::atomic<std::uint64_t> claim{0};
-    std::uint64_t completed ANYTIME_GUARDED_BY(mutex) = 0;
-    std::uint64_t nextMark ANYTIME_GUARDED_BY(mutex) = 1;
 };
 
 } // namespace anytime

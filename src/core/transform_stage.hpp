@@ -200,65 +200,29 @@ class TransformStage : public Stage
                 "construct it with a PartitionedBody to run on multiple "
                 "workers");
         std::uint64_t seen_signal = 0;
-        std::uint64_t processed_sum = 0;
-        // Finality of the inputs when last processed: a degraded close
-        // (markDegradedFinal) makes an input final without a new
-        // version, and that terminal transition is new input too.
-        bool processed_final = false;
+        InputMark processed;
         for (;;) {
             if (!ctx.checkpoint())
                 return;
-
-            auto snaps = std::apply(
-                [](auto &...in) { return std::make_tuple(in->read()...); },
-                ins);
-            const bool all_present = std::apply(
-                [](const auto &...s) { return ((s.value != nullptr) && ...); },
-                snaps);
-            const std::uint64_t version_sum = std::apply(
-                [](const auto &...s) { return (s.version + ...); }, snaps);
-            const bool all_final = std::apply(
-                [](const auto &...s) { return (s.final && ...); }, snaps);
-
-            if (!all_present || (version_sum == processed_sum &&
-                                 all_final == processed_final)) {
-                if (all_present && all_final)
-                    return; // final inputs already processed
-                if (!all_present && all_final) {
-                    // Containment cascade: a quarantined upstream
-                    // stage closed its buffer with no version ever
-                    // published. No input will ever arrive, so this
-                    // stage can't compute anything either — close our
-                    // own output in degraded mode (keeping whatever
-                    // we already published) instead of waiting
-                    // forever.
-                    out->markDegradedFinal(0.0);
-                    return;
-                }
+            const InputRound round = inputRound(processed);
+            if (round.action == InputAction::finish)
+                return;
+            if (round.action == InputAction::wait) {
                 seen_signal = signal.wait(seen_signal, ctx.stopToken());
                 continue;
             }
-
-            // Degradation is sticky upstream, so it is sticky here:
-            // anything computed from a degraded input is itself
-            // degraded, bounded by the weakest input.
-            propagateInputDegradation(snaps);
-
-            Emitter<O> emitter(*out, all_final, [this, version_sum] {
-                const std::uint64_t now = std::apply(
-                    [](auto &...in) { return (in->version() + ...); },
-                    ins);
-                return now > version_sum;
+            const std::uint64_t version_sum = round.mark.versionSum;
+            Emitter<O> emitter(*out, round.mark.final, [this, version_sum] {
+                return inputVersionSum() > version_sum;
             });
             std::apply(
                 [&](const auto &...s) { fn(*s.value..., emitter, ctx); },
-                snaps);
+                round.snaps);
             if (ctx.stopRequested())
                 return;
-            processed_sum = version_sum;
-            processed_final = all_final;
-            if (all_final)
+            if (round.mark.final)
                 return; // g(F_n) done: precise output published
+            processed = round.mark;
         }
     }
 
@@ -284,6 +248,76 @@ class TransformStage : public Stage
                  ...);
             },
             ins);
+    }
+
+    /** Version sum and finality of one input-version set. */
+    struct InputMark
+    {
+        std::uint64_t versionSum = 0;
+        bool final = false;
+    };
+
+    /** What one look at the inputs calls for. */
+    enum class InputAction
+    {
+        /** New input: run the body (or sweep) on @c snaps. */
+        process,
+        /** Nothing new yet: sleep on the input change signal. */
+        wait,
+        /** Done: the final inputs were processed, or no input will
+         *  ever arrive and the output was closed degraded. */
+        finish,
+    };
+
+    struct InputRound
+    {
+        InputAction action = InputAction::wait;
+        std::tuple<Snapshot<Is>...> snaps;
+        InputMark mark;
+    };
+
+    /**
+     * The one input rule both run paths share: snapshot every input
+     * and compare against the @p processed input set. A finality
+     * change at an unchanged version sum is new input too — a degraded
+     * close (markDegradedFinal) makes an input final without a new
+     * version, and that terminal transition must still be processed.
+     * On process, input degradation is propagated to the output first.
+     */
+    InputRound
+    inputRound(const InputMark &processed)
+    {
+        InputRound round;
+        round.snaps = std::apply(
+            [](auto &...in) { return std::make_tuple(in->read()...); }, ins);
+        const bool all_present = std::apply(
+            [](const auto &...s) { return ((s.value != nullptr) && ...); },
+            round.snaps);
+        round.mark.versionSum = std::apply(
+            [](const auto &...s) { return (s.version + ...); }, round.snaps);
+        round.mark.final = std::apply(
+            [](const auto &...s) { return (s.final && ...); }, round.snaps);
+        if (all_present && (round.mark.versionSum != processed.versionSum ||
+                            round.mark.final != processed.final)) {
+            // Degradation is sticky upstream, so it is sticky here:
+            // anything computed from a degraded input is itself
+            // degraded, bounded by the weakest input.
+            propagateInputDegradation(round.snaps);
+            round.action = InputAction::process;
+        } else if (!all_present && round.mark.final) {
+            // Containment cascade: a quarantined upstream stage closed
+            // its buffer with no version ever published. No input will
+            // ever arrive, so this stage can't compute anything either
+            // — close our own output in degraded mode (keeping whatever
+            // we already published) instead of waiting forever.
+            out->markDegradedFinal(0.0);
+            round.action = InputAction::finish;
+        } else {
+            round.action = (all_present && round.mark.final)
+                               ? InputAction::finish
+                               : InputAction::wait;
+        }
+        return round;
     }
 
     /** Sum of the current input buffer versions. */
@@ -365,14 +399,11 @@ class TransformStage : public Stage
                     break;
                 }
 
-                if (decision == Decision::finish)
+                if (decision == InputAction::finish)
                     return; // g(F_n) done: precise output published
-                if (decision == Decision::waitInput) {
+                if (decision == InputAction::wait) {
                     // One worker sleeps on the change signal; the rest
                     // park at the next barrier until it arrives there.
-                    // The leader picks the waiter among the *active*
-                    // workers so an expelled worker 0 can't leave the
-                    // round spinning with nobody asleep.
                     if (worker == waiterId)
                         seen_signal = stage.signal.wait(seen_signal,
                                                         ctx.stopToken());
@@ -390,19 +421,19 @@ class TransformStage : public Stage
                     },
                     [&](std::vector<P> &partials, std::uint64_t begin,
                         std::uint64_t end) {
+                        gang->markExpelled(*stage.out);
                         body.merge(*state, partials, begin, end);
                         const bool last = (end == body.layout.steps);
-                        stage.out->publish(*state, last && sweepFinal);
+                        stage.out->publish(*state, last && sweep.final);
                         if (last) {
-                            processedSum = sweepVersionSum;
-                            processedFinal = sweepFinal;
+                            processed = sweep;
                             return true;
                         }
                         // Fresher (non-final) inputs supersede this
                         // sweep: abandon it after the publish; the
                         // next round re-reads the inputs.
-                        return sweepFinal ||
-                               stage.inputVersionSum() == sweepVersionSum;
+                        return sweep.final ||
+                               stage.inputVersionSum() == sweep.versionSum;
                     });
                 if (status == SweepStatus::stopped)
                     return; // the sweep already left the barrier
@@ -413,66 +444,25 @@ class TransformStage : public Stage
         }
 
       private:
-        enum class Decision
-        {
-            process,
-            waitInput,
-            finish,
-        };
-
-        /** Leader only: snapshot inputs and pick the round's action. */
+        /** Leader only: run the input round and prepare the sweep. */
         void
         decide(TransformStage &stage)
         {
-            snaps = std::apply(
-                [](auto &...in) { return std::make_tuple(in->read()...); },
-                stage.ins);
-            const bool all_present = std::apply(
-                [](const auto &...s) {
-                    return ((s.value != nullptr) && ...);
-                },
-                snaps);
-            const std::uint64_t version_sum = std::apply(
-                [](const auto &...s) { return (s.version + ...); }, snaps);
-            const bool all_final = std::apply(
-                [](const auto &...s) { return (s.final && ...); }, snaps);
-            // Unchanged versions with changed finality is new input
-            // (see processed_final in the emit loop).
-            if (!all_present || (version_sum == processedSum &&
-                                 all_final == processedFinal)) {
-                if (!all_present && all_final) {
-                    // Containment cascade (see the emit-loop variant):
-                    // a quarantined upstream closed its buffer empty;
-                    // close ours in degraded mode and finish.
-                    stage.out->markDegradedFinal(0.0);
-                    decision = Decision::finish;
-                    return;
-                }
-                decision = (all_present && all_final) ? Decision::finish
-                                                      : Decision::waitInput;
-                if (decision == Decision::waitInput) {
-                    const auto active = gang->barrier.activeWorkers();
-                    waiterId = 0;
-                    for (std::size_t w = 0; w < active.size(); ++w) {
-                        if (active[w]) {
-                            waiterId = static_cast<unsigned>(w);
-                            break;
-                        }
-                    }
-                }
-                return;
+            InputRound round = stage.inputRound(processed);
+            decision = round.action;
+            if (decision == InputAction::wait) {
+                // The waiter is the lowest *active* worker, so an
+                // expelled worker 0 can't leave the round spinning
+                // with nobody asleep.
+                const auto active = gang->barrier.activeWorkers();
+                waiterId = static_cast<unsigned>(
+                    std::find(active.begin(), active.end(), 1) -
+                    active.begin());
             }
-            decision = Decision::process;
-            sweepVersionSum = version_sum;
-            sweepFinal = all_final;
-            stage.propagateInputDegradation(snaps);
-            // A gang worker expelled by the watchdog degrades every
-            // later window of this stage's own sweeps too.
-            const unsigned expelled = gang->barrier.expelledCount();
-            if (expelled > 0)
-                stage.out->markDegraded(
-                    1.0 - static_cast<double>(expelled) /
-                              static_cast<double>(gang->partials.size()));
+            if (decision != InputAction::process)
+                return;
+            snaps = std::move(round.snaps);
+            sweep = round.mark;
             state.emplace(std::apply(
                 [&](const auto &...s) { return body.init(*s.value...); },
                 snaps));
@@ -483,13 +473,11 @@ class TransformStage : public Stage
         std::once_flag gangOnce;
         std::unique_ptr<SweepGang<P>> gang;
         // Leader-owned round state (barrier-ordered handoffs).
-        Decision decision = Decision::waitInput;
+        InputAction decision = InputAction::wait;
         unsigned waiterId = 0;
         std::tuple<Snapshot<Is>...> snaps;
-        std::uint64_t sweepVersionSum = 0;
-        bool sweepFinal = false;
-        std::uint64_t processedSum = 0;
-        bool processedFinal = false;
+        InputMark sweep;
+        InputMark processed;
         std::optional<O> state;
     };
 

@@ -118,7 +118,7 @@ registerCounterPipeline(PipelineCatalog &catalog)
                             std::this_thread::sleep_for(
                                 std::chrono::microseconds(step_us));
                     },
-                    period, /*batch=*/1));
+                    period));
 
             PreparedPipeline pipeline;
             pipeline.progress = [out, steps] {

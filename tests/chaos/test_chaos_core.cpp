@@ -443,6 +443,54 @@ TEST_F(ChaosCoreTest, PartitionedReaderFinishesOnQuarantinedUpstream)
     EXPECT_EQ(*out_snapshot.value, *mid_snapshot.value * 2);
 }
 
+TEST(ChaosCoreWatchdog, MidSweepExpulsionDegradesPartitionedTransform)
+{
+    // The watchdog expels worker 1 inside the first window of a
+    // PartitionedBody sweep that has already started. Every version
+    // published after that is missing worker 1's partition, so the
+    // buffer must close degraded with the surviving fraction (1 of 2)
+    // as its bound, never looking precise. No injector needed: the
+    // stall is a plain sleep in the step function.
+    Automaton automaton;
+    auto in = automaton.makeBuffer<std::uint64_t>("in");
+    auto out = automaton.makeBuffer<std::uint64_t>("out");
+    in->publish(3, true); // final before start: one sweep, on final input
+    std::atomic<bool> stalled{false};
+    PartitionedBody<std::uint64_t, std::uint64_t, std::uint64_t> body;
+    body.layout.steps = 8;
+    body.layout.window = 2;
+    body.layout.checkpointStride = 1;
+    body.layout.stallTimeout = 50ms;
+    body.makePartial = [] { return std::uint64_t{0}; };
+    body.resetPartial = [](std::uint64_t &partial) { partial = 0; };
+    body.init = [](const std::uint64_t &) { return std::uint64_t{0}; };
+    body.step = [&stalled](const std::uint64_t &value, std::uint64_t,
+                           std::uint64_t &partial, StageContext &ctx) {
+        if (ctx.workerId() == 1 && !stalled.exchange(true))
+            std::this_thread::sleep_for(500ms);
+        partial += value;
+    };
+    body.merge = [](std::uint64_t &state,
+                    std::vector<std::uint64_t> &partials, std::uint64_t,
+                    std::uint64_t) {
+        for (const std::uint64_t partial : partials)
+            state += partial;
+    };
+    automaton.addStage(
+        std::make_shared<TransformStage<std::uint64_t, std::uint64_t>>(
+            "sum", in, out, std::move(body)),
+        2);
+    automaton.start();
+    EXPECT_TRUE(automaton.waitUntilDone(30s));
+    automaton.shutdown();
+    ASSERT_TRUE(stalled.load());
+    ASSERT_TRUE(out->final());
+    const auto snapshot = out->read();
+    ASSERT_TRUE(snapshot.value != nullptr);
+    EXPECT_TRUE(snapshot.degraded);
+    EXPECT_DOUBLE_EQ(snapshot.qorBound, 0.5);
+}
+
 TEST_F(ChaosCoreTest, PoolDispatchFaultIsAbsorbed)
 {
     // A throw at the dispatch site must be absorbed by the pool: the

@@ -29,7 +29,7 @@ makeCounter(const std::string &name,
     return std::make_shared<DiffusiveSourceStage<long>>(
         name, std::move(out), 0L, steps,
         [](std::uint64_t, long &state, StageContext &) { state += 1; },
-        period, /*batch=*/8);
+        period);
 }
 
 TEST(Automaton, RejectsEmptyAndDoubleStart)
@@ -124,7 +124,7 @@ TEST(Automaton, ChildStartsBeforeParentFinishes)
             state += 1;
             std::this_thread::sleep_for(200us);
         },
-        /*publish_period=*/5, /*batch=*/1);
+        /*publish_period=*/5);
     automaton.addStage(std::move(slow_counter));
 
     std::atomic<long> first_seen{-1};
@@ -157,7 +157,7 @@ TEST(Automaton, StopLeavesValidApproximateOutput)
             state += 1;
             std::this_thread::sleep_for(10us);
         },
-        /*publish_period=*/64, /*batch=*/16));
+        /*publish_period=*/64));
 
     automaton.start();
     while (out->version() < 2)
@@ -182,7 +182,7 @@ TEST(Automaton, PauseFreezesProgressResumeContinues)
             state += 1;
             std::this_thread::sleep_for(5us);
         },
-        /*publish_period=*/16, /*batch=*/4));
+        /*publish_period=*/16));
 
     automaton.start();
     while (out->version() < 2)
@@ -222,7 +222,7 @@ TEST(Automaton, StopWhilePausedReleasesGateAndJoins)
             state += 1;
             std::this_thread::sleep_for(5us);
         },
-        /*publish_period=*/16, /*batch=*/4));
+        /*publish_period=*/16));
 
     automaton.start();
     while (out->version() < 1)
@@ -253,7 +253,7 @@ TEST(Automaton, ShutdownWhilePausedJoinsCleanly)
             state += 1;
             std::this_thread::sleep_for(5us);
         },
-        /*publish_period=*/16, /*batch=*/4));
+        /*publish_period=*/16));
 
     automaton.start();
     while (out->version() < 1)

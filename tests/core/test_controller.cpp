@@ -35,7 +35,7 @@ struct SlowCounter
                 std::this_thread::sleep_for(
                     std::chrono::microseconds(step_us));
             },
-            /*publish_period=*/8, /*batch=*/4));
+            /*publish_period=*/8));
     }
 };
 

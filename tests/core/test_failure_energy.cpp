@@ -8,9 +8,11 @@
 
 #include <chrono>
 #include <stdexcept>
+#include <vector>
 
 #include "core/automaton.hpp"
 #include "core/energy.hpp"
+#include "core/parallel_stage.hpp"
 #include "core/source_stage.hpp"
 #include "core/transform_stage.hpp"
 
@@ -30,7 +32,7 @@ TEST(AutomatonFailure, ThrowingStageStopsPipelineGracefully)
             if (step == 300)
                 throw std::runtime_error("injected fault");
         },
-        /*publish_period=*/100, /*batch=*/10));
+        /*publish_period=*/100));
 
     automaton.start();
     ASSERT_TRUE(automaton.waitUntilDone(5s));
@@ -62,7 +64,7 @@ TEST(AutomatonFailure, DownstreamStagesAreStoppedToo)
             if (step == 50)
                 throw std::runtime_error("boom");
         },
-        /*publish_period=*/10, /*batch=*/5));
+        /*publish_period=*/10));
     automaton.addStage(makeFunctionStage<long, long>(
         "child", f_out, g_out, [](const long &v) { return v; }));
 
@@ -124,7 +126,7 @@ TEST(EnergyModel, EarlyStopSpendsProportionallyLess)
                 if (step == stop_after)
                     automaton.stop();
             },
-            /*publish_period=*/50, /*batch=*/10);
+            /*publish_period=*/50);
         automaton.addStage(stage);
         automaton.start();
         automaton.waitUntilDone();
@@ -137,17 +139,28 @@ TEST(EnergyModel, EarlyStopSpendsProportionallyLess)
     const double full = run_for_steps(999'999); // never fires: full run
     EXPECT_DOUBLE_EQ(full, 1000.0);
     EXPECT_GE(partial, 300.0);
-    EXPECT_LE(partial, 320.0); // stop lands within one batch
+    EXPECT_LE(partial, 320.0); // stop lands at the next step
 }
 
 TEST(EnergyModel, StaticEnergyScalesWithWorkersAndTime)
 {
     Automaton automaton;
     auto out = automaton.makeBuffer<long>("out");
-    automaton.addStage(std::make_shared<DiffusiveSourceStage<long>>(
-        "sweep", out, 0L, 10,
-        [](std::uint64_t, long &state, StageContext &) { state += 1; },
-        5),
+    SweepLayout layout;
+    layout.steps = 10;
+    layout.window = 5;
+    automaton.addStage(
+        std::make_shared<PartitionedDiffusiveStage<long, long>>(
+            "sweep", out, 0L, layout, [] { return 0L; },
+            [](long &partial) { partial = 0; },
+            [](std::uint64_t, long &partial, StageContext &) {
+                partial += 1;
+            },
+            [](long &state, std::vector<long> &partials, std::uint64_t,
+               std::uint64_t) {
+                for (const long partial : partials)
+                    state += partial;
+            }),
         /*workers=*/2);
     automaton.start();
     automaton.waitUntilDone();

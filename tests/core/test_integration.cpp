@@ -123,7 +123,7 @@ TEST(Integration, InterruptAtRandomPointsAlwaysLeavesValidState)
         automaton.addStage(std::make_shared<DiffusiveSourceStage<long>>(
             "count", src, 0L, 200'000,
             [](std::uint64_t, long &acc, StageContext &) { acc += 1; },
-            1000, 100));
+            1000));
         automaton.addStage(makeFunctionStage<long, long>(
             "copy", src, dst, [](const long &v) { return v; }));
 

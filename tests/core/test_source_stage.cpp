@@ -1,14 +1,12 @@
 /**
  * @file
  * Tests for the iterative and diffusive source stage templates: version
- * sequences, final semantics, interruption validity, and multi-worker
- * equivalence for commutative step functions.
+ * sequences, final semantics, interruption validity, and the
+ * single-worker contract both share.
  */
 
 #include <gtest/gtest.h>
 
-#include <numeric>
-#include <thread>
 #include <vector>
 
 #include "core/source_stage.hpp"
@@ -114,7 +112,7 @@ TEST(DiffusiveSourceStage, FinalEqualsSequentialApplication)
     const auto snap = buffer->read();
     for (std::uint64_t i = 0; i < steps; ++i)
         ASSERT_EQ((*snap.value)[i], static_cast<int>(i * 3));
-    // First batch publish + periodic + final.
+    // First-step publish + periodic + final.
     EXPECT_GE(buffer->version(), steps / 100);
 }
 
@@ -128,7 +126,7 @@ TEST(DiffusiveSourceStage, IntermediateVersionsBuildOnPreviousOutput)
     DiffusiveSourceStage<long> stage(
         "diff", buffer, 0L, 10,
         [](std::uint64_t, long &state, StageContext &) { state += 1; },
-        /*publish_period=*/2, /*batch=*/2);
+        /*publish_period=*/2);
     ManualContext mc;
     StageContext ctx = mc.make();
     stage.run(ctx);
@@ -141,46 +139,15 @@ TEST(DiffusiveSourceStage, IntermediateVersionsBuildOnPreviousOutput)
     EXPECT_EQ(observed.back(), 10);
 }
 
-TEST(DiffusiveSourceStage, MultiWorkerMatchesSingleWorker)
+TEST(DiffusiveSourceStage, RejectsMultipleWorkers)
 {
-    // The step function is commutative (histogram-style increments), so
-    // any worker interleaving must give the same final output.
-    const std::uint64_t steps = 5000;
-    const auto make_stage =
-        [&](std::shared_ptr<VersionedBuffer<std::vector<int>>> buffer) {
-            return std::make_shared<
-                DiffusiveSourceStage<std::vector<int>>>(
-                "diff", buffer, std::vector<int>(64, 0), steps,
-                [](std::uint64_t step, std::vector<int> &state,
-                   StageContext &) { state[step % 64] += 1; },
-                /*publish_period=*/1000, /*batch=*/64);
-        };
-
-    auto single =
-        std::make_shared<VersionedBuffer<std::vector<int>>>("s");
-    {
-        ManualContext mc;
-        StageContext ctx = mc.make();
-        make_stage(single)->run(ctx);
-    }
-
-    auto multi = std::make_shared<VersionedBuffer<std::vector<int>>>("m");
-    {
-        ManualContext mc;
-        auto stage = make_stage(multi);
-        std::vector<std::thread> workers;
-        for (unsigned w = 0; w < 4; ++w) {
-            workers.emplace_back([&, w] {
-                StageContext ctx = mc.make(w, 4);
-                stage->run(ctx);
-            });
-        }
-        for (auto &t : workers)
-            t.join();
-    }
-
-    EXPECT_TRUE(multi->final());
-    EXPECT_EQ(*multi->read().value, *single->read().value);
+    auto buffer = std::make_shared<VersionedBuffer<int>>("out");
+    DiffusiveSourceStage<int> stage(
+        "diff", buffer, 0, 1, [](std::uint64_t, int &, StageContext &) {},
+        1);
+    ManualContext mc;
+    StageContext ctx = mc.make(0, 2);
+    EXPECT_THROW(stage.run(ctx), FatalError);
 }
 
 TEST(DiffusiveSourceStage, StopLeavesValidPartialVersion)
@@ -194,7 +161,7 @@ TEST(DiffusiveSourceStage, StopLeavesValidPartialVersion)
             if (step == 499)
                 mc.source.request_stop();
         },
-        /*publish_period=*/100, /*batch=*/50);
+        /*publish_period=*/100);
     StageContext ctx = mc.make();
     stage.run(ctx);
 
@@ -212,8 +179,6 @@ TEST(DiffusiveSourceStage, ValidatesArguments)
     EXPECT_THROW(DiffusiveSourceStage<int>("d", buffer, 0, 0, fn, 1),
                  FatalError);
     EXPECT_THROW(DiffusiveSourceStage<int>("d", buffer, 0, 1, fn, 0),
-                 FatalError);
-    EXPECT_THROW(DiffusiveSourceStage<int>("d", buffer, 0, 1, fn, 1, 0),
                  FatalError);
 }
 

@@ -13,9 +13,10 @@
 #include <mutex>
 #include <set>
 #include <thread>
+#include <vector>
 
 #include "core/automaton.hpp"
-#include "core/source_stage.hpp"
+#include "core/parallel_stage.hpp"
 #include "core/worker_pool.hpp"
 #include "support/error.hpp"
 
@@ -24,7 +25,9 @@ namespace {
 
 using namespace std::chrono_literals;
 
-/** Slow counting automaton on the given worker count. */
+/** Slow counting automaton on the given worker count: each worker
+ *  counts its slice of every 8-step window, and the leader adds the
+ *  counts (the gang's partitioned counter). */
 struct CounterRig
 {
     Automaton automaton;
@@ -34,16 +37,24 @@ struct CounterRig
                         unsigned workers = 1)
     {
         out = automaton.makeBuffer<long>("out");
+        SweepLayout layout;
+        layout.steps = steps;
+        layout.window = 8;
         automaton.addStage(
-            std::make_shared<DiffusiveSourceStage<long>>(
-                "counter", out, 0L, steps,
-                [step_us](std::uint64_t, long &state, StageContext &) {
-                    state += 1;
+            std::make_shared<PartitionedDiffusiveStage<long, long>>(
+                "counter", out, 0L, layout, [] { return 0L; },
+                [](long &partial) { partial = 0; },
+                [step_us](std::uint64_t, long &partial, StageContext &) {
+                    partial += 1;
                     if (step_us > 0)
                         std::this_thread::sleep_for(
                             std::chrono::microseconds(step_us));
                 },
-                /*publish_period=*/8, /*batch=*/1),
+                [](long &state, std::vector<long> &partials,
+                   std::uint64_t, std::uint64_t) {
+                    for (const long partial : partials)
+                        state += partial;
+                }),
             workers);
     }
 };

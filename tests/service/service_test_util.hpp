@@ -55,7 +55,7 @@ counterRequest(std::string name, std::uint64_t steps,
                     std::this_thread::sleep_for(
                         std::chrono::microseconds(step_us));
             },
-            publish_period, /*batch=*/1));
+            publish_period));
         PreparedPipeline pipeline;
         pipeline.progress = [out, steps] {
             const auto snap = out->read();

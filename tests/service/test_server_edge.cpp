@@ -36,7 +36,7 @@ boomRequest()
                     throw std::runtime_error("stage exploded");
                 state += 1;
             },
-            /*publish_period=*/10, /*batch=*/1));
+            /*publish_period=*/10));
         PreparedPipeline pipeline;
         pipeline.automaton = std::move(automaton);
         return pipeline;
@@ -201,7 +201,7 @@ TEST(ServerEdge, SlowFactoriesDoNotStarveDeadlineEnforcement)
                     [](std::uint64_t, long &state, StageContext &) {
                         state += 1;
                     },
-                    /*publish_period=*/4, /*batch=*/1));
+                    /*publish_period=*/4));
             PreparedPipeline pipeline;
             pipeline.automaton = std::move(automaton);
             return pipeline;
