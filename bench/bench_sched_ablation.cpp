@@ -63,18 +63,20 @@ runDiamond(unsigned f_workers, unsigned i_workers)
     f_layout.steps = 256;
     f_layout.window = 32;
     automaton.addStage(
-        std::make_shared<PartitionedDiffusiveStage<long, long>>(
-            "f", f_out, 0L, f_layout, [] { return 0L; },
-            [](long &partial) { partial = 0; },
-            [](std::uint64_t, long &partial, StageContext &) {
-                spin(60'000);
-                partial += 1;
-            },
-            [](long &state, std::vector<long> &partials, std::uint64_t,
-               std::uint64_t) {
-                for (const long partial : partials)
-                    state += partial;
-            }),
+        std::make_shared<TransformStage<long>>(
+            "f", f_out,
+            PartitionedBody<long, long>{
+                f_layout, [] { return 0L; },
+                [](long &partial) { partial = 0; }, [] { return 0L; },
+                [](std::uint64_t, long &partial, StageContext &) {
+                    spin(60'000);
+                    partial += 1;
+                },
+                [](long &state, std::vector<long> &partials,
+                   std::uint64_t, std::uint64_t) {
+                    for (const long partial : partials)
+                        state += partial;
+                }}),
         f_workers);
 
     // g and h: medium anytime children (2 internal levels each).

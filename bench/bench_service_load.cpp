@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "core/parallel_stage.hpp"
+#include "core/transform_stage.hpp"
 
 #include "apps/conv2d.hpp"
 #include "apps/kmeans.hpp"
@@ -224,18 +225,20 @@ overloadRequest(unsigned stage_workers, double min_quality)
         layout.steps = steps;
         layout.window = 1;
         automaton->addStage(
-            std::make_shared<PartitionedDiffusiveStage<long, long>>(
-                "spin", out, 0L, layout, [] { return 0L; },
-                [](long &partial) { partial = 0; },
-                [](std::uint64_t, long &partial, StageContext &) {
-                    partial += 1;
-                    std::this_thread::sleep_for(750us);
-                },
-                [](long &state, std::vector<long> &partials,
-                   std::uint64_t, std::uint64_t) {
-                    for (const long partial : partials)
-                        state += partial;
-                }),
+            std::make_shared<TransformStage<long>>(
+                "spin", out,
+                PartitionedBody<long, long>{
+                    layout, [] { return 0L; },
+                    [](long &partial) { partial = 0; }, [] { return 0L; },
+                    [](std::uint64_t, long &partial, StageContext &) {
+                        partial += 1;
+                        std::this_thread::sleep_for(750us);
+                    },
+                    [](long &state, std::vector<long> &partials,
+                       std::uint64_t, std::uint64_t) {
+                        for (const long partial : partials)
+                            state += partial;
+                    }}),
             stage_workers);
         PreparedPipeline pipeline;
         pipeline.progress = [out] {

@@ -94,7 +94,7 @@ main(int argc, char **argv)
 
         auto perm = std::make_shared<const LfsrPermutation>(corpus, 31);
         automaton.addStage(
-            std::make_shared<DiffusiveSourceStage<ScoreBoard>>(
+            makeDiffusiveSource<ScoreBoard>(
                 "score", board_buf,
                 ScoreBoard{std::vector<float>(corpus, -1.f), 0}, corpus,
                 [perm, query_hash](std::uint64_t step, ScoreBoard &board,

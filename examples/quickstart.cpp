@@ -65,7 +65,7 @@ main()
     auto perm = std::make_shared<const LfsrPermutation>(n, 7);
     auto shared_data = std::make_shared<const std::vector<float>>(
         std::move(data));
-    automaton.addStage(std::make_shared<DiffusiveSourceStage<MeanEstimate>>(
+    automaton.addStage(makeDiffusiveSource<MeanEstimate>(
         "sampled-mean", mean_buf, MeanEstimate{0, 0, n}, n,
         [shared_data, perm](std::uint64_t step, MeanEstimate &state,
                             StageContext &) {

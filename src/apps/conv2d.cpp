@@ -5,6 +5,7 @@
 
 #include "approx/fixed_point.hpp"
 #include "core/parallel_stage.hpp"
+#include "core/transform_stage.hpp"
 #include "image/progressive.hpp"
 #include "sampling/replay.hpp"
 #include "simd/simd.hpp"
@@ -313,35 +314,38 @@ makeConv2dAutomaton(GrayImage src, Kernel kernel,
     layout.window = period;
     layout.kind = PartitionKind::cyclic;
     layout.checkpointStride = 16;
-    auto stage = std::make_shared<PartitionedDiffusiveStage<GrayImage, Partial>>(
-        "conv2d", output, GrayImage(input->width(), input->height()),
-        layout, [] { return Partial{}; },
-        [](Partial &partial) { partial.clear(); },
-        [input, plan, blur, quantized, precision,
-         pixels](std::uint64_t step, Partial &partial, StageContext &) {
-            const std::uint64_t end =
-                std::min(pixels, (step + 1) * chunk);
-            for (std::uint64_t s = step * chunk; s < end; ++s) {
-                const std::size_t x = plan->x(s), y = plan->y(s);
-                const std::uint8_t value =
-                    (precision >= 8)
-                        ? convolvePixel(*input, *blur, x, y)
-                        : quantized->convolvePixel(*input, x, y,
-                                                   precision);
-                partial.push_back({s, value});
-            }
-        },
-        [plan](GrayImage &state, std::vector<Partial> &partials,
-               std::uint64_t, std::uint64_t) {
-            std::vector<const Partial *> logs;
-            logs.reserve(partials.size());
-            for (const Partial &partial : partials)
-                logs.push_back(&partial);
-            replayOrdinalLogs<std::uint8_t>(
-                logs, [&](std::uint64_t s, std::uint8_t value) {
-                    plan->fill(state, s, value);
-                });
-        });
+    auto stage = std::make_shared<TransformStage<GrayImage>>(
+        "conv2d", output,
+        PartitionedBody<Partial, GrayImage>{
+            layout, [] { return Partial{}; },
+            [](Partial &partial) { partial.clear(); },
+            [input] { return GrayImage(input->width(), input->height()); },
+            [input, plan, blur, quantized, precision,
+             pixels](std::uint64_t step, Partial &partial,
+                     StageContext &) {
+                const std::uint64_t end =
+                    std::min(pixels, (step + 1) * chunk);
+                for (std::uint64_t s = step * chunk; s < end; ++s) {
+                    const std::size_t x = plan->x(s), y = plan->y(s);
+                    const std::uint8_t value =
+                        (precision >= 8)
+                            ? convolvePixel(*input, *blur, x, y)
+                            : quantized->convolvePixel(*input, x, y,
+                                                       precision);
+                    partial.push_back({s, value});
+                }
+            },
+            [plan](GrayImage &state, std::vector<Partial> &partials,
+                   std::uint64_t, std::uint64_t) {
+                std::vector<const Partial *> logs;
+                logs.reserve(partials.size());
+                for (const Partial &partial : partials)
+                    logs.push_back(&partial);
+                replayOrdinalLogs<std::uint8_t>(
+                    logs, [&](std::uint64_t s, std::uint8_t value) {
+                        plan->fill(state, s, value);
+                    });
+            }});
 
     automaton->addStage(std::move(stage), config.workers);
     return Conv2dAutomaton{std::move(automaton), std::move(output)};

@@ -94,7 +94,7 @@ makeConv2dStorageAutomaton(GrayImage src, Kernel kernel,
     auto storage = std::make_shared<ApproxStorage<std::uint8_t>>(
         width * height, config.faultSeed);
 
-    auto stage = std::make_shared<IterativeSourceStage<GrayImage>>(
+    auto stage = makeIterativeSource<GrayImage>(
         "conv2d_storage", output, schedule->levels(),
         [precise_input, blur, schedule, storage, width,
          height](std::size_t level, GrayImage &out, StageContext &ctx) {

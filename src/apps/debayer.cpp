@@ -1,6 +1,7 @@
 #include "apps/debayer.hpp"
 
 #include "core/parallel_stage.hpp"
+#include "core/transform_stage.hpp"
 #include "image/progressive.hpp"
 #include "sampling/replay.hpp"
 #include "support/error.hpp"
@@ -120,11 +121,12 @@ makeDebayerAutomaton(GrayImage mosaic, const DebayerConfig &config)
     layout.window = period;
     layout.kind = PartitionKind::cyclic;
     layout.checkpointStride = 16;
-    auto stage =
-        std::make_shared<PartitionedDiffusiveStage<RgbImage, Partial>>(
-            "debayer", output, RgbImage(input->width(), input->height()),
+    auto stage = std::make_shared<TransformStage<RgbImage>>(
+        "debayer", output,
+        PartitionedBody<Partial, RgbImage>{
             layout, [] { return Partial{}; },
             [](Partial &partial) { partial.clear(); },
+            [input] { return RgbImage(input->width(), input->height()); },
             [input, plan, pixels](std::uint64_t step, Partial &partial,
                                   StageContext &) {
                 const std::uint64_t end =
@@ -144,7 +146,7 @@ makeDebayerAutomaton(GrayImage mosaic, const DebayerConfig &config)
                     logs, [&](std::uint64_t s, const RgbPixel &value) {
                         plan->fill(state, s, value);
                     });
-            });
+            }});
 
     automaton->addStage(std::move(stage), config.workers);
     return DebayerAutomaton{std::move(automaton), std::move(output)};

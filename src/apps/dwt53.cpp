@@ -169,7 +169,7 @@ makeDwt53Automaton(GrayImage src, const Dwt53Config &config)
     auto schedule =
         std::make_shared<const PerforationSchedule>(config.schedule);
 
-    auto stage = std::make_shared<IterativeSourceStage<WaveletImage>>(
+    auto stage = makeIterativeSource<WaveletImage>(
         "dwt53", output, schedule->levels(),
         [input, schedule](std::size_t level, WaveletImage &out,
                           StageContext &ctx) {

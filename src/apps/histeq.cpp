@@ -113,28 +113,34 @@ makeHisteqAutomaton(GrayImage src, const HisteqConfig &config)
     hist_layout.window = hist_period;
     hist_layout.kind = config.histogramPartition;
     hist_layout.checkpointStride = 16;
-    auto hist_stage = std::make_shared<
-        PartitionedDiffusiveStage<PixelHistogram, PixelHistogram>>(
-        "histogram", hist_buf, PixelHistogram{}, hist_layout,
-        [] { return PixelHistogram{}; },
-        [](PixelHistogram &partial) { partial = PixelHistogram{}; },
-        [input, lfsr, pixels](std::uint64_t step, PixelHistogram &partial,
-                              StageContext &) {
-            const std::uint64_t end = std::min(pixels, (step + 1) * chunk);
-            for (std::uint64_t s = step * chunk; s < end; ++s) {
-                const std::uint64_t index = lfsr->map(s);
-                ++partial.bins[(*input)[static_cast<std::size_t>(index)]];
-                ++partial.samples;
-            }
-        },
-        [](PixelHistogram &state, std::vector<PixelHistogram> &partials,
-           std::uint64_t, std::uint64_t) {
-            for (const PixelHistogram &partial : partials) {
-                for (std::size_t v = 0; v < state.bins.size(); ++v)
-                    state.bins[v] += partial.bins[v];
-                state.samples += partial.samples;
-            }
-        });
+    const auto empty = [] { return PixelHistogram{}; };
+    auto hist_stage = std::make_shared<TransformStage<PixelHistogram>>(
+        "histogram", hist_buf,
+        PartitionedBody<PixelHistogram, PixelHistogram>{
+            hist_layout, empty,
+            [](PixelHistogram &partial) { partial = PixelHistogram{}; },
+            empty,
+            [input, lfsr, pixels](std::uint64_t step,
+                                  PixelHistogram &partial,
+                                  StageContext &) {
+                const std::uint64_t end =
+                    std::min(pixels, (step + 1) * chunk);
+                for (std::uint64_t s = step * chunk; s < end; ++s) {
+                    const auto index =
+                        static_cast<std::size_t>(lfsr->map(s));
+                    ++partial.bins[(*input)[index]];
+                    ++partial.samples;
+                }
+            },
+            [](PixelHistogram &state,
+               std::vector<PixelHistogram> &partials, std::uint64_t,
+               std::uint64_t) {
+                for (const PixelHistogram &partial : partials) {
+                    for (std::size_t v = 0; v < state.bins.size(); ++v)
+                        state.bins[v] += partial.bins[v];
+                    state.samples += partial.samples;
+                }
+            }});
 
     // Stage 2 (non-anytime): normalized CDF.
     auto cdf_stage = makeFunctionStage<PixelCdf, PixelHistogram>(

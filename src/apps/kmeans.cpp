@@ -175,59 +175,64 @@ makeKmeansAutomaton(RgbImage src, const KmeansConfig &config)
         std::vector<ClusterSum> sums;
     };
     const unsigned clusters = config.clusters;
-    KmeansAssignment initial{
-        Image<std::uint8_t>(input->width(), input->height()),
-        std::vector<ClusterSum>(config.clusters)};
     SweepLayout layout;
     layout.steps = steps;
     layout.window = period;
     layout.kind = PartitionKind::cyclic;
     layout.checkpointStride = 16;
-    auto assign_stage = std::make_shared<
-        PartitionedDiffusiveStage<KmeansAssignment, AssignPartial>>(
-        "assign", assign_buf, std::move(initial), layout,
-        [clusters] {
-            return AssignPartial{{}, std::vector<ClusterSum>(clusters)};
-        },
-        [](AssignPartial &partial) {
-            partial.labels.clear();
-            partial.sums.assign(partial.sums.size(), ClusterSum{});
-        },
-        [input, index, plan, pixels](std::uint64_t step,
-                                     AssignPartial &partial,
-                                     StageContext &) {
-            const std::uint64_t end = std::min(pixels, (step + 1) * chunk);
-            for (std::uint64_t s = step * chunk; s < end; ++s) {
-                const RgbPixel &pixel = input->at(plan->x(s), plan->y(s));
-                const unsigned c = index->nearest(pixel);
-                partial.labels.push_back(
-                    {s, static_cast<std::uint8_t>(c)});
-                partial.sums[c].r += pixel.r;
-                partial.sums[c].g += pixel.g;
-                partial.sums[c].b += pixel.b;
-                ++partial.sums[c].count;
-            }
-        },
-        [plan](KmeansAssignment &state,
-               std::vector<AssignPartial> &partials, std::uint64_t,
-               std::uint64_t) {
-            std::vector<const OrdinalLog<std::uint8_t> *> logs;
-            logs.reserve(partials.size());
-            for (const AssignPartial &partial : partials)
-                logs.push_back(&partial.labels);
-            replayOrdinalLogs<std::uint8_t>(
-                logs, [&](std::uint64_t s, std::uint8_t label) {
-                    plan->fill(state.labels, s, label);
-                });
-            for (const AssignPartial &partial : partials) {
-                for (std::size_t c = 0; c < partial.sums.size(); ++c) {
-                    state.sums[c].r += partial.sums[c].r;
-                    state.sums[c].g += partial.sums[c].g;
-                    state.sums[c].b += partial.sums[c].b;
-                    state.sums[c].count += partial.sums[c].count;
+    auto assign_stage = std::make_shared<TransformStage<KmeansAssignment>>(
+        "assign", assign_buf,
+        PartitionedBody<AssignPartial, KmeansAssignment>{
+            layout,
+            [clusters] {
+                return AssignPartial{{}, std::vector<ClusterSum>(clusters)};
+            },
+            [](AssignPartial &partial) {
+                partial.labels.clear();
+                partial.sums.assign(partial.sums.size(), ClusterSum{});
+            },
+            [input, clusters] {
+                return KmeansAssignment{
+                    Image<std::uint8_t>(input->width(), input->height()),
+                    std::vector<ClusterSum>(clusters)};
+            },
+            [input, index, plan, pixels](std::uint64_t step,
+                                         AssignPartial &partial,
+                                         StageContext &) {
+                const std::uint64_t end =
+                    std::min(pixels, (step + 1) * chunk);
+                for (std::uint64_t s = step * chunk; s < end; ++s) {
+                    const RgbPixel &pixel =
+                        input->at(plan->x(s), plan->y(s));
+                    const unsigned c = index->nearest(pixel);
+                    partial.labels.push_back(
+                        {s, static_cast<std::uint8_t>(c)});
+                    partial.sums[c].r += pixel.r;
+                    partial.sums[c].g += pixel.g;
+                    partial.sums[c].b += pixel.b;
+                    ++partial.sums[c].count;
                 }
-            }
-        });
+            },
+            [plan](KmeansAssignment &state,
+                   std::vector<AssignPartial> &partials, std::uint64_t,
+                   std::uint64_t) {
+                std::vector<const OrdinalLog<std::uint8_t> *> logs;
+                logs.reserve(partials.size());
+                for (const AssignPartial &partial : partials)
+                    logs.push_back(&partial.labels);
+                replayOrdinalLogs<std::uint8_t>(
+                    logs, [&](std::uint64_t s, std::uint8_t label) {
+                        plan->fill(state.labels, s, label);
+                    });
+                for (const AssignPartial &partial : partials) {
+                    for (std::size_t c = 0; c < partial.sums.size(); ++c) {
+                        state.sums[c].r += partial.sums[c].r;
+                        state.sums[c].g += partial.sums[c].g;
+                        state.sums[c].b += partial.sums[c].b;
+                        state.sums[c].count += partial.sums[c].count;
+                    }
+                }
+            }});
 
     // Stage 2 (non-anytime): reduce sums to centroids and recolor.
     auto reduce_stage = makeFunctionStage<KmeansResult, KmeansAssignment>(

@@ -2,6 +2,7 @@
 
 #include "approx/fixed_point.hpp"
 #include "core/parallel_stage.hpp"
+#include "core/transform_stage.hpp"
 #include "simd/simd.hpp"
 #include "support/error.hpp"
 
@@ -154,11 +155,12 @@ makeMatmulAutomaton(IntMatrix a, IntMatrix b, const MatmulConfig &config)
     layout.checkpointStride = 1;
     const std::size_t rows = lhs->height();
     const std::size_t cols = rhs->width();
-    auto stage =
-        std::make_shared<PartitionedDiffusiveStage<LongMatrix, LongMatrix>>(
-            "matmul", output, LongMatrix(cols, rows, 0), layout,
-            [cols, rows] { return LongMatrix(cols, rows, 0); },
-            [](LongMatrix &partial) { partial.fill(0); },
+    const auto zero = [cols, rows] { return LongMatrix(cols, rows, 0); };
+    auto stage = std::make_shared<TransformStage<LongMatrix>>(
+        "matmul", output,
+        PartitionedBody<LongMatrix, LongMatrix>{
+            layout, zero, [](LongMatrix &partial) { partial.fill(0); },
+            zero,
             [lhs, rhs, masks](std::uint64_t step, LongMatrix &partial,
                               StageContext &ctx) {
                 addPlane(*lhs, *rhs, 31 - static_cast<unsigned>(step),
@@ -171,7 +173,7 @@ makeMatmulAutomaton(IntMatrix a, IntMatrix b, const MatmulConfig &config)
                     for (std::size_t i = 0; i < state.size(); ++i)
                         state[i] = wrapAdd(state[i], partial[i]);
                 }
-            });
+            }});
 
     automaton->addStage(std::move(stage), config.workers);
     return MatmulAutomaton{std::move(automaton), std::move(output)};

@@ -14,15 +14,14 @@
  *    has drained its slice of the window (Property 3 is preserved: the
  *    buffer's single writer is the momentary leader, and publishes stay
  *    atomic).
- *  - runPartitionedSweep(): the window loop shared by the partitioned
- *    source and transform stages. Each publish period ("window") is
- *    sliced with a CyclicPartition/BlockPartition, each worker folds
- *    its slice into a private partial, and the leader merges partials
- *    in fixed partition order — so the published version sequence is
+ *  - runPartitionedSweep(): the window loop of the one gang runner,
+ *    TransformStage's PartitionedCore (core/transform_stage.hpp), which
+ *    runs every PartitionedBody stage, sources and transforms alike.
+ *    Each publish period ("window") is sliced with a
+ *    CyclicPartition/BlockPartition, each worker folds its slice into
+ *    a private partial, and the leader merges partials in fixed
+ *    partition order — so the published version sequence is
  *    bit-identical to a single-worker run, for every version.
- *  - PartitionedDiffusiveStage: the multi-worker diffusive source.
- *    DiffusiveSourceStage is single-worker by contract; every gang runs
- *    through this stage or a PartitionedBody transform.
  *
  * All blocking waits take the automaton's stop token, so stop/pause
  * never deadlocks a gang: a worker that exits early leaves the barrier,
@@ -37,8 +36,6 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <stop_token>
 #include <string>
@@ -125,7 +122,7 @@ class SweepBarrier
         }
         const std::uint64_t my_generation = generation;
         const auto opened = [&]() ANYTIME_REQUIRES(mutex) {
-            return generation != my_generation;
+            return generation != my_generation || promotedLeader;
         };
         bool released;
         if (stall_timeout <= std::chrono::nanoseconds::zero()) {
@@ -149,6 +146,13 @@ class SweepBarrier
                     return Outcome::leader;
                 }
             }
+        }
+        if (promotedLeader) {
+            // leave() completed this window's arrivals: the first
+            // waiter to wake leads it (a stopping leader skips the
+            // merge, as any leader does).
+            promotedLeader = false;
+            return Outcome::leader;
         }
         if (!activeFlags[worker]) {
             // Raced with an expulsion of this very worker: it was not
@@ -183,9 +187,10 @@ class SweepBarrier
     /**
      * Permanently exit the gang (stop path). If every remaining worker
      * is already blocked in arrive(), no future arrival can elect a
-     * leader — promote them by opening the barrier; they observe the
-     * stop themselves at their next checkpoint. A no-op for workers
-     * the watchdog already expelled.
+     * leader — promote the first of them to wake to leader, so the
+     * window still has exactly one; the rest are released by its
+     * release() and observe the stop themselves at their next
+     * checkpoint. A no-op for workers the watchdog already expelled.
      */
     void
     leave(unsigned worker)
@@ -209,9 +214,8 @@ class SweepBarrier
         // verdict write. The leader's own release() opens the barrier.
         if (!leaderActive && participants > 0 &&
             arrivedCount == participants) {
-            arrivedCount = 0;
-            std::fill(arrivedFlags.begin(), arrivedFlags.end(), 0);
-            ++generation;
+            leaderActive = true;
+            promotedLeader = true;
             lock.unlock();
             wake.notifyAll();
         }
@@ -262,6 +266,9 @@ class SweepBarrier
     unsigned arrivedCount ANYTIME_GUARDED_BY(mutex) = 0;
     /** True from leader election in arrive() until its release(). */
     bool leaderActive ANYTIME_GUARDED_BY(mutex) = false;
+    /** Set by leave() when it completes the arrivals; the first
+     *  waiter to wake clears it and leads the window. */
+    bool promotedLeader ANYTIME_GUARDED_BY(mutex) = false;
     std::uint64_t generation ANYTIME_GUARDED_BY(mutex) = 0;
     /** Gang membership by worker id (0 = left or expelled). */
     std::vector<char> activeFlags ANYTIME_GUARDED_BY(mutex);
@@ -558,98 +565,6 @@ class WorkerGaugeGuard
 };
 
 } // namespace detail
-
-/**
- * Multi-worker diffusive source stage (the partitioned counterpart of
- * DiffusiveSourceStage). Each worker folds its partition slice of every
- * publish window into a private partial of type @c P; the last worker
- * to finish a window merges all partials — in fixed partition order —
- * into the running output state and publishes. With commutative
- * reductions (or ordinal-replayed write logs, see sampling/replay.hpp)
- * every published version is bit-identical to the single-worker run.
- *
- * @tparam O Output value type.
- * @tparam P Per-worker partial type.
- */
-template <typename O, typename P>
-class PartitionedDiffusiveStage : public Stage
-{
-  public:
-    /** Construct one (empty) per-worker partial; called k times. */
-    using MakeFn = std::function<P()>;
-    /** Recycle a partial at the start of a window. */
-    using ResetFn = std::function<void(P &)>;
-    /** Fold diffusive step @c step into this worker's partial. */
-    using StepFn = std::function<void(std::uint64_t step, P &partial,
-                                      StageContext &ctx)>;
-    /** Leader: merge partials (order 0..k-1) into the output state. */
-    using MergeFn = std::function<void(O &state, std::vector<P> &partials,
-                                       std::uint64_t begin,
-                                       std::uint64_t end)>;
-
-    PartitionedDiffusiveStage(std::string name,
-                              std::shared_ptr<VersionedBuffer<O>> out,
-                              O initial, SweepLayout layout, MakeFn make,
-                              ResetFn reset, StepFn step, MergeFn merge)
-        : Stage(std::move(name)), out(std::move(out)),
-          state(std::move(initial)), layout(layout),
-          makePartial(std::move(make)), resetPartial(std::move(reset)),
-          stepFn(std::move(step)), mergeFn(std::move(merge)),
-          obsHandles(detail::makeSweepObs(this->name()))
-    {
-        fatalIf(layout.steps == 0, "PartitionedDiffusiveStage: zero steps");
-        fatalIf(layout.window == 0,
-                "PartitionedDiffusiveStage: zero publish window");
-        fatalIf(layout.checkpointStride == 0,
-                "PartitionedDiffusiveStage: zero checkpoint stride");
-    }
-
-    void
-    run(StageContext &ctx) override
-    {
-        std::call_once(gangOnce, [&] {
-            gang = std::make_unique<SweepGang<P>>(ctx.workerCount(),
-                                                  makePartial, obsHandles);
-        });
-        detail::WorkerGaugeGuard guard(obsHandles.workers);
-        const SweepStatus status = runPartitionedSweep(
-            ctx, *gang, layout, resetPartial,
-            [this](std::uint64_t step, P &partial, StageContext &c) {
-                stepFn(step, partial, c);
-            },
-            [this](std::vector<P> &partials, std::uint64_t begin,
-                   std::uint64_t end) {
-                gang->markExpelled(*out);
-                mergeFn(state, partials, begin, end);
-                out->publish(state, end == layout.steps);
-                return true;
-            });
-        // A source sweep is only ever abandoned by a stopping leader;
-        // exit the barrier like the other stop paths.
-        if (status == SweepStatus::abandoned)
-            gang->barrier.leave(ctx.workerId());
-    }
-
-    std::vector<const BufferBase *>
-    reads() const override
-    {
-        return {};
-    }
-
-    const BufferBase *writes() const override { return out.get(); }
-
-  private:
-    std::shared_ptr<VersionedBuffer<O>> out;
-    O state;
-    SweepLayout layout;
-    MakeFn makePartial;
-    ResetFn resetPartial;
-    StepFn stepFn;
-    MergeFn mergeFn;
-    SweepObs obsHandles;
-    std::once_flag gangOnce;
-    std::unique_ptr<SweepGang<P>> gang;
-};
 
 } // namespace anytime
 

@@ -45,7 +45,7 @@ class PauseGate
     pause()
     {
         MutexLock lock(mutex);
-        paused = true;
+        paused.store(true, std::memory_order_release);
     }
 
     /** Release paused stages. */
@@ -54,17 +54,19 @@ class PauseGate
     {
         {
             MutexLock lock(mutex);
-            paused = false;
+            paused.store(false, std::memory_order_release);
         }
         resumed.notifyAll();
     }
 
-    /** True while the gate is closed. */
+    /**
+     * True while the gate is closed. Lock-free: every checkpoint asks,
+     * and wait() re-checks under the mutex before it blocks.
+     */
     bool
     isPaused() const
     {
-        MutexLock lock(mutex);
-        return paused;
+        return paused.load(std::memory_order_acquire);
     }
 
     /**
@@ -76,7 +78,7 @@ class PauseGate
     {
         MutexLock lock(mutex);
         resumed.wait(lock, stop, [&]() ANYTIME_REQUIRES(mutex) {
-            return !paused;
+            return !paused.load(std::memory_order_relaxed);
         });
         return !stop.stop_requested();
     }
@@ -84,7 +86,8 @@ class PauseGate
   private:
     mutable Mutex mutex;
     mutable CondVar resumed;
-    bool paused ANYTIME_GUARDED_BY(mutex) = false;
+    /** Written only under @c mutex, so wait() cannot miss a resume. */
+    std::atomic<bool> paused{false};
 };
 
 /** Per-stage execution statistics (work-done proxy for energy). */

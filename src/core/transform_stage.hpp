@@ -1,6 +1,7 @@
 /**
  * @file
- * Transform (child) stages of the asynchronous pipeline.
+ * The asynchronous-pipeline stage: zero or more typed inputs, one
+ * output buffer.
  *
  * Paper Section III-C1: a child stage g simply processes whichever
  * parent output version is currently in the buffer. No synchronization
@@ -10,6 +11,13 @@
  * Child stages may themselves be anytime: the body can emit several
  * output versions per input version, with the buffer-final flag set only
  * when the inputs were final AND the body emitted its own final level.
+ *
+ * A source (Section III-A: a stage with no parents) is the same class
+ * with an empty input set, which is present and final from the start:
+ * its body runs once, on final inputs. The source factories in
+ * core/source_stage.hpp build the iterative and diffusive sources this
+ * way, and a PartitionedBody makes any stage, source or transform, a
+ * Section IV-C1 gang through the one partitioned runner below.
  */
 
 #ifndef ANYTIME_CORE_TRANSFORM_STAGE_HPP
@@ -44,11 +52,13 @@ namespace anytime {
  * leader merges partials in fixed order with merge() and publishes the
  * state. A sweep over non-final inputs is abandoned as soon as fresher
  * inputs supersede it (the re-run on final inputs always completes, so
- * the precise output is still guaranteed).
+ * the precise output is still guaranteed). With no inputs (a source)
+ * there is one input-version set, so init() runs once and the stage
+ * sweeps once.
  *
  * @tparam P  Per-worker partial type.
  * @tparam O  Output value type.
- * @tparam Is Input value types.
+ * @tparam Is Input value types (possibly none).
  */
 template <typename P, typename O, typename... Is>
 struct PartitionedBody
@@ -130,20 +140,19 @@ class Emitter
 };
 
 /**
- * Asynchronous-pipeline transform stage with one or more typed inputs.
+ * Asynchronous-pipeline stage with zero or more typed inputs.
  *
  * The body is invoked with the *latest* snapshot of every input each
  * time any input changes; intermediate input versions may be skipped if
  * the body is still busy (by design — data diffuses, it does not queue).
+ * With no inputs the body runs exactly once, with inputsFinal() true.
  *
  * @tparam O  Output value type.
- * @tparam Is Input value types.
+ * @tparam Is Input value types (possibly none).
  */
 template <typename O, typename... Is>
 class TransformStage : public Stage
 {
-    static_assert(sizeof...(Is) >= 1, "transform needs at least 1 input");
-
   public:
     /** Body: consume input values, emit output versions. */
     using ProcessFn = std::function<void(const Is &..., Emitter<O> &,
@@ -202,7 +211,7 @@ class TransformStage : public Stage
         std::uint64_t seen_signal = 0;
         InputMark processed;
         for (;;) {
-            if (!ctx.checkpoint())
+            if (!roundCheckpoint(ctx))
                 return;
             const InputRound round = inputRound(processed);
             if (round.action == InputAction::finish)
@@ -238,6 +247,21 @@ class TransformStage : public Stage
     const BufferBase *writes() const override { return out.get(); }
 
   private:
+    /**
+     * The checkpoint before an input round. A stage without inputs has
+     * a single round, and its body or sweep checkpoints before its
+     * first unit of work, so the round adds none: a source's checkpoint
+     * ordinals (which fault plans count) are its body's own.
+     */
+    static bool
+    roundCheckpoint(StageContext &ctx)
+    {
+        if constexpr (sizeof...(Is) == 0)
+            return !ctx.stopRequested();
+        else
+            return ctx.checkpoint();
+    }
+
     /** Wake this stage whenever any input publishes. */
     void
     observeInputs()
@@ -294,7 +318,10 @@ class TransformStage : public Stage
             [](const auto &...s) { return ((s.value != nullptr) && ...); },
             round.snaps);
         round.mark.versionSum = std::apply(
-            [](const auto &...s) { return (s.version + ...); }, round.snaps);
+            [](const auto &...s) {
+                return (std::uint64_t{0} + ... + s.version);
+            },
+            round.snaps);
         round.mark.final = std::apply(
             [](const auto &...s) { return (s.final && ...); }, round.snaps);
         if (all_present && (round.mark.versionSum != processed.versionSum ||
@@ -325,7 +352,10 @@ class TransformStage : public Stage
     inputVersionSum() const
     {
         return std::apply(
-            [](const auto &...in) { return (in->version() + ...); }, ins);
+            [](const auto &...in) {
+                return (std::uint64_t{0} + ... + in->version());
+            },
+            ins);
     }
 
     /** Mark the output degraded if any input snapshot is. */
@@ -377,7 +407,7 @@ class TransformStage : public Stage
             const unsigned worker = ctx.workerId();
             std::uint64_t seen_signal = 0;
             for (;;) {
-                if (!ctx.checkpoint()) {
+                if (!roundCheckpoint(ctx)) {
                     gang->barrier.leave(worker);
                     return;
                 }
@@ -439,7 +469,9 @@ class TransformStage : public Stage
                     return; // the sweep already left the barrier
                 if (status == SweepStatus::expelled)
                     return; // expelled workers never rejoin the gang
-                // completed or abandoned: decide again on fresh input.
+                if (status == SweepStatus::completed && sweep.final)
+                    return; // g(F_n) done: precise output published
+                // Otherwise decide again on fresh input.
             }
         }
 

@@ -109,7 +109,7 @@ registerCounterPipeline(PipelineCatalog &catalog)
             auto automaton = std::make_unique<Automaton>();
             auto out = automaton->makeBuffer<long>("count");
             automaton->addStage(
-                std::make_shared<DiffusiveSourceStage<long>>(
+                makeDiffusiveSource<long>(
                     "counter", out, 0L, steps,
                     [step_us](std::uint64_t, long &state,
                               StageContext &) {

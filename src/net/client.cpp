@@ -24,6 +24,10 @@ namespace anytime::net {
 
 namespace {
 
+/** Seed of the deterministic reconnect jitter sequence (reproducible
+ *  runs). */
+constexpr std::uint64_t kJitterSeed = 1;
+
 /** RAII socket with poll()-bounded connect/send/recv. */
 class BlockingSocket
 {
@@ -303,7 +307,7 @@ runResilientRequest(const ClientOptions &options,
         if (base.count() > 0)
             wait += std::chrono::nanoseconds(
                 static_cast<std::int64_t>(
-                    fault::mix64(resilience.jitterSeed ^ attempt) %
+                    fault::mix64(kJitterSeed ^ attempt) %
                     static_cast<std::uint64_t>(
                         std::chrono::nanoseconds(base).count())));
         if (deadlineSeconds > 0.0 &&

@@ -86,8 +86,6 @@ struct ResilienceOptions
     /** Base of the exponential retry backoff: attempt n waits
      *  base * 2^(n-1) plus a deterministic jitter in [0, base). */
     std::chrono::milliseconds backoffBase{10};
-    /** Seed of the deterministic jitter sequence (reproducible runs). */
-    std::uint64_t jitterSeed = 1;
     /** Overall give-up bound across all attempts and backoffs;
      *  zero means attempts are the only limit. */
     std::chrono::milliseconds overallDeadline{0};

@@ -13,6 +13,16 @@ namespace anytime {
 
 namespace {
 
+/** How often running minQuality probes are sampled. */
+constexpr std::chrono::nanoseconds kQualityPollInterval =
+    std::chrono::milliseconds(1);
+/** Base of the build-retry backoff (doubles per attempt, plus a
+ *  deterministic jitter in [0, base)). */
+constexpr std::chrono::nanoseconds kRetryBackoffBase =
+    std::chrono::milliseconds(2);
+/** Seed of the deterministic backoff jitter sequence. */
+constexpr std::uint64_t kRetryJitterSeed = 1;
+
 double
 secondsBetween(Stopwatch::Clock::time_point from,
                Stopwatch::Clock::time_point to)
@@ -505,17 +515,12 @@ AnytimeServer::retryBackoffLocked(const PendingEntry &entry) const
     // request id and attempt number — reproducible under a fixed
     // submission order, uncorrelated across requests (no retry
     // convoys).
-    const auto base = configuration.retryBackoffBase;
+    const auto base = kRetryBackoffBase;
     const auto scaled = base * (1LL << (entry.buildAttempts - 1));
-    const std::uint64_t jitter_hash =
-        fault::mix64(configuration.retryJitterSeed ^
-                     (entry.id << 16) ^ entry.buildAttempts);
-    const auto jitter =
-        base.count() > 0
-            ? Clock::duration(std::chrono::nanoseconds(
-                  static_cast<std::int64_t>(jitter_hash) %
-                  std::chrono::nanoseconds(base).count()))
-            : Clock::duration::zero();
+    const std::uint64_t jitter_hash = fault::mix64(
+        kRetryJitterSeed ^ (entry.id << 16) ^ entry.buildAttempts);
+    const auto jitter = Clock::duration(std::chrono::nanoseconds(
+        static_cast<std::int64_t>(jitter_hash) % base.count()));
     return std::chrono::duration_cast<Clock::duration>(scaled) +
            std::chrono::abs(jitter);
 }
@@ -867,9 +872,7 @@ AnytimeServer::schedulerLoop(std::stop_token stop)
         // 3. Graceful degradation: a backlogged server stops requests
         // that have reached their stated quality floor, trading their
         // surplus accuracy for the queue's latency.
-        const bool backlogged =
-            !pending.empty() || !configuration.degradeOnlyWhenBacklogged;
-        if (backlogged) {
+        if (!pending.empty()) {
             for (auto &[id, entry] : running) {
                 if (entry.stopReason == StopReason::none &&
                     entry.minQuality > 0.0 && entry.pipeline.progress) {
@@ -1058,8 +1061,8 @@ AnytimeServer::schedulerLoop(std::stop_token stop)
                 continue;
             next_wake = std::min(next_wake, entry.deadline);
             if (entry.minQuality > 0.0 && entry.pipeline.progress)
-                next_wake = std::min(
-                    next_wake, now + configuration.qualityPollInterval);
+                next_wake =
+                    std::min(next_wake, now + kQualityPollInterval);
         }
         if (!pending.empty()) {
             next_wake = std::min(next_wake, pending.begin()->first);

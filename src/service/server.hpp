@@ -70,11 +70,6 @@ struct ServerConfig
     std::size_t maxQueueDepth = 64;
     /** Admission: shed when the EWMA model predicts a deadline miss. */
     bool predictiveShedding = true;
-    /** How often running minQuality probes are sampled. */
-    std::chrono::nanoseconds qualityPollInterval =
-        std::chrono::milliseconds(1);
-    /** Only degrade to minQuality when requests are waiting. */
-    bool degradeOnlyWhenBacklogged = true;
     /** Registry the server publishes live counters/gauges/histograms
      *  into; nullptr means obs::defaultRegistry(). */
     obs::MetricsRegistry *metricsRegistry = nullptr;
@@ -92,12 +87,6 @@ struct ServerConfig
     /** Retries of a *failed pipeline build* before the request fails
      *  (the factory threw or returned no automaton). */
     unsigned buildRetryLimit = 2;
-    /** Base of the exponential retry backoff (doubles per attempt,
-     *  plus deterministic jitter in [0, base)). */
-    std::chrono::nanoseconds retryBackoffBase =
-        std::chrono::milliseconds(2);
-    /** Seed of the deterministic backoff jitter sequence. */
-    std::uint64_t retryJitterSeed = 1;
     /**
      * Circuit breaker: consecutive failures of one pipeline name
      * before its circuit opens and submissions are shed for

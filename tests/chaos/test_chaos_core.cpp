@@ -13,7 +13,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -49,6 +52,33 @@ struct RunResult
 constexpr std::uint64_t kSteps = 48;
 constexpr std::uint64_t kWindow = 6;
 
+/**
+ * Partitioned sum source: step s adds @p term(s) to its worker's
+ * partial, and the window leader adds the partials into the sum.
+ */
+std::shared_ptr<TransformStage<std::uint64_t>>
+makeSumSource(std::string name,
+              std::shared_ptr<VersionedBuffer<std::uint64_t>> out,
+              const SweepLayout &layout,
+              std::function<std::uint64_t(std::uint64_t)> term)
+{
+    using Sum = std::uint64_t;
+    const auto zero = [] { return Sum{0}; };
+    return std::make_shared<TransformStage<Sum>>(
+        std::move(name), std::move(out),
+        PartitionedBody<Sum, Sum>{
+            layout, zero, [](Sum &partial) { partial = 0; }, zero,
+            [term = std::move(term)](std::uint64_t step, Sum &partial,
+                                     StageContext &) {
+                partial += term(step);
+            },
+            [](Sum &state, std::vector<Sum> &partials, std::uint64_t,
+               std::uint64_t) {
+                for (const Sum partial : partials)
+                    state += partial;
+            }});
+}
+
 /** The sum automaton from the determinism suite, chaos-instrumented. */
 RunResult
 runSum(unsigned workers, std::chrono::nanoseconds stall_timeout =
@@ -70,19 +100,9 @@ runSum(unsigned workers, std::chrono::nanoseconds stall_timeout =
     layout.kind = PartitionKind::cyclic;
     layout.checkpointStride = 1;
     layout.stallTimeout = stall_timeout;
-    auto stage = std::make_shared<
-        PartitionedDiffusiveStage<std::uint64_t, std::uint64_t>>(
-        "sum", out, std::uint64_t{0}, layout,
-        [] { return std::uint64_t{0}; },
-        [](std::uint64_t &partial) { partial = 0; },
-        [](std::uint64_t step, std::uint64_t &partial, StageContext &) {
-            partial += step * step + 1;
-        },
-        [](std::uint64_t &state, std::vector<std::uint64_t> &partials,
-           std::uint64_t, std::uint64_t) {
-            for (const std::uint64_t partial : partials)
-                state += partial;
-        });
+    auto stage = makeSumSource("sum", out, layout, [](std::uint64_t step) {
+        return step * step + 1;
+    });
     automaton.addStage(std::move(stage), workers);
     automaton.start();
     // Generous bound: chaos runs must terminate, never hang.
@@ -252,19 +272,8 @@ TEST_F(ChaosCoreTest, StopAllPolicyStillStopsEverything)
     layout.steps = kSteps;
     layout.window = kWindow;
     layout.checkpointStride = 1;
-    auto stage = std::make_shared<
-        PartitionedDiffusiveStage<std::uint64_t, std::uint64_t>>(
-        "sum", out, std::uint64_t{0}, layout,
-        [] { return std::uint64_t{0}; },
-        [](std::uint64_t &partial) { partial = 0; },
-        [](std::uint64_t, std::uint64_t &partial, StageContext &) {
-            partial += 1;
-        },
-        [](std::uint64_t &state, std::vector<std::uint64_t> &partials,
-           std::uint64_t, std::uint64_t) {
-            for (const std::uint64_t partial : partials)
-                state += partial;
-        });
+    auto stage = makeSumSource("sum", out, layout,
+                                [](std::uint64_t) { return 1; });
     automaton.addStage(std::move(stage), 2);
     automaton.start();
     EXPECT_TRUE(automaton.waitUntilDone(30s));
@@ -290,19 +299,8 @@ TEST_F(ChaosCoreTest, QuarantineCascadesThroughEmptyUpstreamBuffer)
     layout.steps = 8;
     layout.window = 4;
     layout.checkpointStride = 1;
-    auto source = std::make_shared<
-        PartitionedDiffusiveStage<std::uint64_t, std::uint64_t>>(
-        "src", mid, std::uint64_t{0}, layout,
-        [] { return std::uint64_t{0}; },
-        [](std::uint64_t &partial) { partial = 0; },
-        [](std::uint64_t, std::uint64_t &partial, StageContext &) {
-            partial += 1;
-        },
-        [](std::uint64_t &state, std::vector<std::uint64_t> &partials,
-           std::uint64_t, std::uint64_t) {
-            for (const std::uint64_t partial : partials)
-                state += partial;
-        });
+    auto source = makeSumSource("src", mid, layout,
+                                [](std::uint64_t) { return 1; });
     auto transform = std::make_shared<TransformStage<std::uint64_t,
                                                      std::uint64_t>>(
         "double", mid, out,
@@ -337,19 +335,8 @@ TEST_F(ChaosCoreTest, DownstreamFinishesOnQuarantinedUpstreamOutput)
     layout.steps = 32;
     layout.window = 4;
     layout.checkpointStride = 1;
-    auto source = std::make_shared<
-        PartitionedDiffusiveStage<std::uint64_t, std::uint64_t>>(
-        "src", mid, std::uint64_t{0}, layout,
-        [] { return std::uint64_t{0}; },
-        [](std::uint64_t &partial) { partial = 0; },
-        [](std::uint64_t, std::uint64_t &partial, StageContext &) {
-            partial += 1;
-        },
-        [](std::uint64_t &state, std::vector<std::uint64_t> &partials,
-           std::uint64_t, std::uint64_t) {
-            for (const std::uint64_t partial : partials)
-                state += partial;
-        });
+    auto source = makeSumSource("src", mid, layout,
+                                [](std::uint64_t) { return 1; });
     auto transform = std::make_shared<TransformStage<std::uint64_t,
                                                      std::uint64_t>>(
         "double", mid, out,
@@ -391,19 +378,8 @@ TEST_F(ChaosCoreTest, PartitionedReaderFinishesOnQuarantinedUpstream)
     layout.steps = 32;
     layout.window = 4;
     layout.checkpointStride = 1;
-    auto source = std::make_shared<
-        PartitionedDiffusiveStage<std::uint64_t, std::uint64_t>>(
-        "src", mid, std::uint64_t{0}, layout,
-        [] { return std::uint64_t{0}; },
-        [](std::uint64_t &partial) { partial = 0; },
-        [](std::uint64_t, std::uint64_t &partial, StageContext &) {
-            partial += 1;
-        },
-        [](std::uint64_t &state, std::vector<std::uint64_t> &partials,
-           std::uint64_t, std::uint64_t) {
-            for (const std::uint64_t partial : partials)
-                state += partial;
-        });
+    auto source = makeSumSource("src", mid, layout,
+                                [](std::uint64_t) { return 1; });
     // Two steps, one per worker: each adds the input once.
     PartitionedBody<std::uint64_t, std::uint64_t, std::uint64_t> body;
     body.layout.steps = 2;

@@ -21,12 +21,12 @@ namespace {
 using namespace std::chrono_literals;
 
 /** A 100-step diffusive counter source. */
-std::shared_ptr<DiffusiveSourceStage<long>>
+std::shared_ptr<TransformStage<long>>
 makeCounter(const std::string &name,
             std::shared_ptr<VersionedBuffer<long>> out,
             std::uint64_t steps = 100, std::uint64_t period = 10)
 {
-    return std::make_shared<DiffusiveSourceStage<long>>(
+    return makeDiffusiveSource<long>(
         name, std::move(out), 0L, steps,
         [](std::uint64_t, long &state, StageContext &) { state += 1; },
         period);
@@ -118,7 +118,7 @@ TEST(Automaton, ChildStartsBeforeParentFinishes)
     auto f_out = automaton.makeBuffer<long>("f");
     auto g_out = automaton.makeBuffer<long>("g");
 
-    auto slow_counter = std::make_shared<DiffusiveSourceStage<long>>(
+    auto slow_counter = makeDiffusiveSource<long>(
         "f", f_out, 0L, 50,
         [](std::uint64_t, long &state, StageContext &) {
             state += 1;
@@ -151,7 +151,7 @@ TEST(Automaton, StopLeavesValidApproximateOutput)
     // version available and marks nothing final.
     Automaton automaton;
     auto out = automaton.makeBuffer<long>("out");
-    automaton.addStage(std::make_shared<DiffusiveSourceStage<long>>(
+    automaton.addStage(makeDiffusiveSource<long>(
         "slow", out, 0L, 1u << 20,
         [](std::uint64_t, long &state, StageContext &) {
             state += 1;
@@ -176,7 +176,7 @@ TEST(Automaton, PauseFreezesProgressResumeContinues)
 {
     Automaton automaton;
     auto out = automaton.makeBuffer<long>("out");
-    automaton.addStage(std::make_shared<DiffusiveSourceStage<long>>(
+    automaton.addStage(makeDiffusiveSource<long>(
         "counter", out, 0L, 1u << 18,
         [](std::uint64_t, long &state, StageContext &) {
             state += 1;
@@ -216,7 +216,7 @@ TEST(Automaton, StopWhilePausedReleasesGateAndJoins)
 {
     Automaton automaton;
     auto out = automaton.makeBuffer<long>("out");
-    automaton.addStage(std::make_shared<DiffusiveSourceStage<long>>(
+    automaton.addStage(makeDiffusiveSource<long>(
         "counter", out, 0L, 1u << 18,
         [](std::uint64_t, long &state, StageContext &) {
             state += 1;
@@ -247,7 +247,7 @@ TEST(Automaton, ShutdownWhilePausedJoinsCleanly)
 {
     Automaton automaton;
     auto out = automaton.makeBuffer<long>("out");
-    automaton.addStage(std::make_shared<DiffusiveSourceStage<long>>(
+    automaton.addStage(makeDiffusiveSource<long>(
         "counter", out, 0L, 1u << 18,
         [](std::uint64_t, long &state, StageContext &) {
             state += 1;

@@ -28,7 +28,7 @@ struct SlowCounter
     explicit SlowCounter(std::uint64_t steps, std::uint64_t step_us = 50)
     {
         out = automaton.makeBuffer<long>("out");
-        automaton.addStage(std::make_shared<DiffusiveSourceStage<long>>(
+        automaton.addStage(makeDiffusiveSource<long>(
             "counter", out, 0L, steps,
             [step_us](std::uint64_t, long &state, StageContext &) {
                 state += 1;

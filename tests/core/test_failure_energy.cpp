@@ -25,7 +25,7 @@ TEST(AutomatonFailure, ThrowingStageStopsPipelineGracefully)
 {
     Automaton automaton;
     auto out = automaton.makeBuffer<long>("out");
-    automaton.addStage(std::make_shared<DiffusiveSourceStage<long>>(
+    automaton.addStage(makeDiffusiveSource<long>(
         "faulty", out, 0L, 1000,
         [](std::uint64_t step, long &state, StageContext &) {
             state += 1;
@@ -57,7 +57,7 @@ TEST(AutomatonFailure, DownstreamStagesAreStoppedToo)
     Automaton automaton;
     auto f_out = automaton.makeBuffer<long>("f");
     auto g_out = automaton.makeBuffer<long>("g");
-    automaton.addStage(std::make_shared<DiffusiveSourceStage<long>>(
+    automaton.addStage(makeDiffusiveSource<long>(
         "faulty", f_out, 0L, 10000,
         [](std::uint64_t step, long &state, StageContext &) {
             state += 1;
@@ -80,7 +80,7 @@ TEST(AutomatonFailure, CleanRunReportsNoFailure)
 {
     Automaton automaton;
     auto out = automaton.makeBuffer<long>("out");
-    automaton.addStage(std::make_shared<DiffusiveSourceStage<long>>(
+    automaton.addStage(makeDiffusiveSource<long>(
         "ok", out, 0L, 10,
         [](std::uint64_t, long &state, StageContext &) { state += 1; },
         5));
@@ -95,7 +95,7 @@ TEST(EnergyModel, DynamicEnergyTracksWorkDone)
 {
     Automaton automaton;
     auto out = automaton.makeBuffer<long>("out");
-    automaton.addStage(std::make_shared<DiffusiveSourceStage<long>>(
+    automaton.addStage(makeDiffusiveSource<long>(
         "worker", out, 0L, 500,
         [](std::uint64_t, long &state, StageContext &) { state += 1; },
         100));
@@ -105,7 +105,7 @@ TEST(EnergyModel, DynamicEnergyTracksWorkDone)
 
     EnergyModel model(StageEnergyCost{2.0, 0.0});
     const EnergyReport report = model.estimate(automaton, 0.1);
-    // DiffusiveSourceStage records one work unit per step.
+    // A diffusive source records one work unit per step.
     EXPECT_DOUBLE_EQ(report.dynamicNanojoules.at("worker"), 1000.0);
     EXPECT_DOUBLE_EQ(report.totalDynamicNanojoules, 1000.0);
     EXPECT_DOUBLE_EQ(report.totalStaticNanojoules, 0.0);
@@ -118,7 +118,7 @@ TEST(EnergyModel, EarlyStopSpendsProportionallyLess)
     const auto run_for_steps = [](std::uint64_t stop_after) {
         Automaton automaton;
         auto out = automaton.makeBuffer<long>("out");
-        auto stage = std::make_shared<DiffusiveSourceStage<long>>(
+        auto stage = makeDiffusiveSource<long>(
             "sweep", out, 0L, 1000,
             [&automaton, stop_after](std::uint64_t step, long &state,
                                      StageContext &) {
@@ -150,17 +150,19 @@ TEST(EnergyModel, StaticEnergyScalesWithWorkersAndTime)
     layout.steps = 10;
     layout.window = 5;
     automaton.addStage(
-        std::make_shared<PartitionedDiffusiveStage<long, long>>(
-            "sweep", out, 0L, layout, [] { return 0L; },
-            [](long &partial) { partial = 0; },
-            [](std::uint64_t, long &partial, StageContext &) {
-                partial += 1;
-            },
-            [](long &state, std::vector<long> &partials, std::uint64_t,
-               std::uint64_t) {
-                for (const long partial : partials)
-                    state += partial;
-            }),
+        std::make_shared<TransformStage<long>>(
+            "sweep", out,
+            PartitionedBody<long, long>{
+                layout, [] { return 0L; },
+                [](long &partial) { partial = 0; }, [] { return 0L; },
+                [](std::uint64_t, long &partial, StageContext &) {
+                    partial += 1;
+                },
+                [](long &state, std::vector<long> &partials,
+                   std::uint64_t, std::uint64_t) {
+                    for (const long partial : partials)
+                        state += partial;
+                }}),
         /*workers=*/2);
     automaton.start();
     automaton.waitUntilDone();
@@ -177,11 +179,11 @@ TEST(EnergyModel, PerStageOverridesApply)
     Automaton automaton;
     auto a = automaton.makeBuffer<long>("a");
     auto b = automaton.makeBuffer<long>("b");
-    automaton.addStage(std::make_shared<DiffusiveSourceStage<long>>(
+    automaton.addStage(makeDiffusiveSource<long>(
         "cheap", a, 0L, 100,
         [](std::uint64_t, long &state, StageContext &) { state += 1; },
         50));
-    automaton.addStage(std::make_shared<DiffusiveSourceStage<long>>(
+    automaton.addStage(makeDiffusiveSource<long>(
         "pricey", b, 0L, 100,
         [](std::uint64_t, long &state, StageContext &) { state += 1; },
         50));

@@ -56,7 +56,7 @@ TEST_P(RandomPipeline, FinalOutputEqualsComposedPreciseFunction)
     // Diffusive source: LFSR-permuted summation.
     auto perm = std::make_shared<const LfsrPermutation>(
         n, static_cast<std::uint32_t>(seed + 1));
-    automaton.addStage(std::make_shared<DiffusiveSourceStage<long>>(
+    automaton.addStage(makeDiffusiveSource<long>(
         "sum", sum_buf, 0L, n,
         [data, perm](std::uint64_t step, long &acc, StageContext &) {
             acc += (*data)[perm->map(step)];
@@ -77,7 +77,7 @@ TEST_P(RandomPipeline, FinalOutputEqualsComposedPreciseFunction)
 
     // Second source (iterative) and a joining stage.
     auto iter_buf = automaton.makeBuffer<long>("iter");
-    automaton.addStage(std::make_shared<IterativeSourceStage<long>>(
+    automaton.addStage(makeIterativeSource<long>(
         "iter", iter_buf, iterative_levels,
         [iterative_value, iterative_levels](std::size_t level, long &out,
                                             StageContext &) {
@@ -120,7 +120,7 @@ TEST(Integration, InterruptAtRandomPointsAlwaysLeavesValidState)
         Automaton automaton;
         auto src = automaton.makeBuffer<long>("src");
         auto dst = automaton.makeBuffer<long>("dst");
-        automaton.addStage(std::make_shared<DiffusiveSourceStage<long>>(
+        automaton.addStage(makeDiffusiveSource<long>(
             "count", src, 0L, 200'000,
             [](std::uint64_t, long &acc, StageContext &) { acc += 1; },
             1000));

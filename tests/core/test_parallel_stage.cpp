@@ -154,9 +154,10 @@ TEST(SweepBarrier, LeaveDuringLeaderMergeKeepsBarrierClosed)
 
 // ------------------------------------------------- partitioned diffusive
 
-/** Sum-reduction stage: version v must equal the sum of f(step) over
- *  all steps merged so far — independent of worker count. */
-std::shared_ptr<PartitionedDiffusiveStage<std::uint64_t, std::uint64_t>>
+/** Sum-reduction source (a zero-input TransformStage with a
+ *  PartitionedBody): version v must equal the sum of f(step) over all
+ *  steps merged so far — independent of worker count. */
+std::shared_ptr<TransformStage<std::uint64_t>>
 makeSumStage(std::shared_ptr<VersionedBuffer<std::uint64_t>> out,
              std::uint64_t steps, std::uint64_t window,
              PartitionKind kind)
@@ -166,19 +167,20 @@ makeSumStage(std::shared_ptr<VersionedBuffer<std::uint64_t>> out,
     layout.window = window;
     layout.kind = kind;
     layout.checkpointStride = 4;
-    return std::make_shared<
-        PartitionedDiffusiveStage<std::uint64_t, std::uint64_t>>(
-        "sum", std::move(out), std::uint64_t{0}, layout,
-        [] { return std::uint64_t{0}; },
-        [](std::uint64_t &partial) { partial = 0; },
-        [](std::uint64_t step, std::uint64_t &partial, StageContext &) {
-            partial += step * step + 1;
-        },
-        [](std::uint64_t &state, std::vector<std::uint64_t> &partials,
-           std::uint64_t, std::uint64_t) {
-            for (const std::uint64_t partial : partials)
-                state += partial;
-        });
+    using Sum = std::uint64_t;
+    const auto zero = [] { return Sum{0}; };
+    return std::make_shared<TransformStage<Sum>>(
+        "sum", std::move(out),
+        PartitionedBody<Sum, Sum>{
+            layout, zero, [](Sum &partial) { partial = 0; }, zero,
+            [](std::uint64_t step, Sum &partial, StageContext &) {
+                partial += step * step + 1;
+            },
+            [](Sum &state, std::vector<Sum> &partials, std::uint64_t,
+               std::uint64_t) {
+                for (const Sum partial : partials)
+                    state += partial;
+            }});
 }
 
 std::uint64_t
@@ -273,11 +275,12 @@ TEST(PartitionedDiffusiveStage, ReplayKeepsOrderSensitiveWritesExact)
         layout.kind = PartitionKind::cyclic;
         Automaton automaton;
         auto out = automaton.makeBuffer<State>("replay.out");
-        auto stage =
-            std::make_shared<PartitionedDiffusiveStage<State, Partial>>(
-                "replay", out, State(7, 0), layout,
-                [] { return Partial{}; },
+        auto stage = std::make_shared<TransformStage<State>>(
+            "replay", out,
+            PartitionedBody<Partial, State>{
+                layout, [] { return Partial{}; },
                 [](Partial &partial) { partial.clear(); },
+                [] { return State(7, 0); },
                 [](std::uint64_t step, Partial &partial, StageContext &) {
                     partial.push_back({step, step * 13 + 1});
                 },
@@ -291,7 +294,7 @@ TEST(PartitionedDiffusiveStage, ReplayKeepsOrderSensitiveWritesExact)
                         [&](std::uint64_t s, std::uint64_t value) {
                             state[s % 7] = value;
                         });
-                });
+                }});
         automaton.addStage(std::move(stage), workers);
         automaton.start();
         automaton.waitUntilDone();
@@ -314,20 +317,21 @@ TEST(PartitionedDiffusiveStage, StopMidSweepLeavesValidNonFinalBuffer)
     layout.checkpointStride = 1;
     Automaton automaton;
     auto out = automaton.makeBuffer<std::uint64_t>("slow.out");
-    auto stage = std::make_shared<
-        PartitionedDiffusiveStage<std::uint64_t, std::uint64_t>>(
-        "slow", out, std::uint64_t{0}, layout,
-        [] { return std::uint64_t{0}; },
-        [](std::uint64_t &partial) { partial = 0; },
-        [](std::uint64_t, std::uint64_t &partial, StageContext &) {
-            partial += 1;
-            std::this_thread::sleep_for(50us);
-        },
-        [](std::uint64_t &state, std::vector<std::uint64_t> &partials,
-           std::uint64_t, std::uint64_t) {
-            for (const std::uint64_t partial : partials)
-                state += partial;
-        });
+    using Sum = std::uint64_t;
+    const auto zero = [] { return Sum{0}; };
+    auto stage = std::make_shared<TransformStage<Sum>>(
+        "slow", out,
+        PartitionedBody<Sum, Sum>{
+            layout, zero, [](Sum &partial) { partial = 0; }, zero,
+            [](std::uint64_t, Sum &partial, StageContext &) {
+                partial += 1;
+                std::this_thread::sleep_for(50us);
+            },
+            [](Sum &state, std::vector<Sum> &partials, std::uint64_t,
+               std::uint64_t) {
+                for (const Sum partial : partials)
+                    state += partial;
+            }});
     automaton.addStage(std::move(stage), 4);
     automaton.start();
     std::this_thread::sleep_for(20ms);

@@ -1,8 +1,9 @@
 /**
  * @file
- * Tests for the iterative and diffusive source stage templates: version
+ * Tests for the iterative and diffusive source factories: version
  * sequences, final semantics, interruption validity, and the
- * single-worker contract both share.
+ * single-worker contract both share (a source is a zero-input
+ * TransformStage with an emit body).
  */
 
 #include <gtest/gtest.h>
@@ -31,7 +32,7 @@ TEST(IterativeSourceStage, PublishesOneVersionPerLevel)
 {
     auto buffer = std::make_shared<VersionedBuffer<int>>("out");
     std::vector<std::size_t> levels_run;
-    IterativeSourceStage<int> stage(
+    auto stage = makeIterativeSource<int>(
         "iter", buffer, 3,
         [&](std::size_t level, int &out, StageContext &) {
             levels_run.push_back(level);
@@ -40,7 +41,7 @@ TEST(IterativeSourceStage, PublishesOneVersionPerLevel)
 
     ManualContext mc;
     StageContext ctx = mc.make();
-    stage.run(ctx);
+    stage->run(ctx);
 
     EXPECT_EQ(levels_run, (std::vector<std::size_t>{0, 1, 2}));
     EXPECT_EQ(buffer->version(), 3u);
@@ -52,13 +53,13 @@ TEST(IterativeSourceStage, EachLevelStartsFromPrototype)
 {
     // Iterative levels must overwrite, not accumulate (Section III-B1).
     auto buffer = std::make_shared<VersionedBuffer<int>>("out");
-    IterativeSourceStage<int> stage(
+    auto stage = makeIterativeSource<int>(
         "iter", buffer, 2,
         [](std::size_t, int &out, StageContext &) { out += 1; },
         /*prototype=*/10);
     ManualContext mc;
     StageContext ctx = mc.make();
-    stage.run(ctx);
+    stage->run(ctx);
     EXPECT_EQ(*buffer->read().value, 11); // 10 + 1, not 10 + 2
 }
 
@@ -66,7 +67,7 @@ TEST(IterativeSourceStage, StopSkipsIncompleteLevel)
 {
     auto buffer = std::make_shared<VersionedBuffer<int>>("out");
     ManualContext mc;
-    IterativeSourceStage<int> stage(
+    auto stage = makeIterativeSource<int>(
         "iter", buffer, 3,
         [&](std::size_t level, int &out, StageContext &) {
             out = static_cast<int>(level);
@@ -74,7 +75,7 @@ TEST(IterativeSourceStage, StopSkipsIncompleteLevel)
                 mc.source.request_stop(); // stop arrives mid-level
         });
     StageContext ctx = mc.make();
-    stage.run(ctx);
+    stage->run(ctx);
 
     // Level 0 published; level 1 was interrupted and must NOT be.
     EXPECT_EQ(buffer->version(), 1u);
@@ -85,11 +86,11 @@ TEST(IterativeSourceStage, StopSkipsIncompleteLevel)
 TEST(IterativeSourceStage, RejectsMultipleWorkers)
 {
     auto buffer = std::make_shared<VersionedBuffer<int>>("out");
-    IterativeSourceStage<int> stage(
+    auto stage = makeIterativeSource<int>(
         "iter", buffer, 1, [](std::size_t, int &, StageContext &) {});
     ManualContext mc;
     StageContext ctx = mc.make(0, 2);
-    EXPECT_THROW(stage.run(ctx), FatalError);
+    EXPECT_THROW(stage->run(ctx), FatalError);
 }
 
 TEST(DiffusiveSourceStage, FinalEqualsSequentialApplication)
@@ -97,7 +98,7 @@ TEST(DiffusiveSourceStage, FinalEqualsSequentialApplication)
     auto buffer =
         std::make_shared<VersionedBuffer<std::vector<int>>>("out");
     const std::uint64_t steps = 1000;
-    DiffusiveSourceStage<std::vector<int>> stage(
+    auto stage = makeDiffusiveSource<std::vector<int>>(
         "diff", buffer, std::vector<int>(steps, 0), steps,
         [](std::uint64_t step, std::vector<int> &state, StageContext &) {
             state[step] = static_cast<int>(step * 3);
@@ -106,7 +107,7 @@ TEST(DiffusiveSourceStage, FinalEqualsSequentialApplication)
 
     ManualContext mc;
     StageContext ctx = mc.make();
-    stage.run(ctx);
+    stage->run(ctx);
 
     EXPECT_TRUE(buffer->final());
     const auto snap = buffer->read();
@@ -123,13 +124,13 @@ TEST(DiffusiveSourceStage, IntermediateVersionsBuildOnPreviousOutput)
     buffer->addObserver([&](const Snapshot<long> &snap) {
         observed.push_back(*snap.value);
     });
-    DiffusiveSourceStage<long> stage(
+    auto stage = makeDiffusiveSource<long>(
         "diff", buffer, 0L, 10,
         [](std::uint64_t, long &state, StageContext &) { state += 1; },
         /*publish_period=*/2);
     ManualContext mc;
     StageContext ctx = mc.make();
-    stage.run(ctx);
+    stage->run(ctx);
 
     // Counts are monotone non-decreasing across versions: accuracy is
     // diffused, never reset.
@@ -142,19 +143,19 @@ TEST(DiffusiveSourceStage, IntermediateVersionsBuildOnPreviousOutput)
 TEST(DiffusiveSourceStage, RejectsMultipleWorkers)
 {
     auto buffer = std::make_shared<VersionedBuffer<int>>("out");
-    DiffusiveSourceStage<int> stage(
+    auto stage = makeDiffusiveSource<int>(
         "diff", buffer, 0, 1, [](std::uint64_t, int &, StageContext &) {},
         1);
     ManualContext mc;
     StageContext ctx = mc.make(0, 2);
-    EXPECT_THROW(stage.run(ctx), FatalError);
+    EXPECT_THROW(stage->run(ctx), FatalError);
 }
 
 TEST(DiffusiveSourceStage, StopLeavesValidPartialVersion)
 {
     auto buffer = std::make_shared<VersionedBuffer<long>>("out");
     ManualContext mc;
-    DiffusiveSourceStage<long> stage(
+    auto stage = makeDiffusiveSource<long>(
         "diff", buffer, 0L, 1000,
         [&](std::uint64_t step, long &state, StageContext &) {
             state += 1;
@@ -163,7 +164,7 @@ TEST(DiffusiveSourceStage, StopLeavesValidPartialVersion)
         },
         /*publish_period=*/100);
     StageContext ctx = mc.make();
-    stage.run(ctx);
+    stage->run(ctx);
 
     EXPECT_FALSE(buffer->final());
     const auto snap = buffer->read();
@@ -176,9 +177,9 @@ TEST(DiffusiveSourceStage, ValidatesArguments)
 {
     auto buffer = std::make_shared<VersionedBuffer<int>>("out");
     const auto fn = [](std::uint64_t, int &, StageContext &) {};
-    EXPECT_THROW(DiffusiveSourceStage<int>("d", buffer, 0, 0, fn, 1),
+    EXPECT_THROW(makeDiffusiveSource<int>("d", buffer, 0, 0, fn, 1),
                  FatalError);
-    EXPECT_THROW(DiffusiveSourceStage<int>("d", buffer, 0, 1, fn, 0),
+    EXPECT_THROW(makeDiffusiveSource<int>("d", buffer, 0, 1, fn, 0),
                  FatalError);
 }
 

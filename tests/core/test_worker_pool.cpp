@@ -17,6 +17,7 @@
 
 #include "core/automaton.hpp"
 #include "core/parallel_stage.hpp"
+#include "core/transform_stage.hpp"
 #include "core/worker_pool.hpp"
 #include "support/error.hpp"
 
@@ -41,20 +42,23 @@ struct CounterRig
         layout.steps = steps;
         layout.window = 8;
         automaton.addStage(
-            std::make_shared<PartitionedDiffusiveStage<long, long>>(
-                "counter", out, 0L, layout, [] { return 0L; },
-                [](long &partial) { partial = 0; },
-                [step_us](std::uint64_t, long &partial, StageContext &) {
-                    partial += 1;
-                    if (step_us > 0)
-                        std::this_thread::sleep_for(
-                            std::chrono::microseconds(step_us));
-                },
-                [](long &state, std::vector<long> &partials,
-                   std::uint64_t, std::uint64_t) {
-                    for (const long partial : partials)
-                        state += partial;
-                }),
+            std::make_shared<TransformStage<long>>(
+                "counter", out,
+                PartitionedBody<long, long>{
+                    layout, [] { return 0L; },
+                    [](long &partial) { partial = 0; }, [] { return 0L; },
+                    [step_us](std::uint64_t, long &partial,
+                              StageContext &) {
+                        partial += 1;
+                        if (step_us > 0)
+                            std::this_thread::sleep_for(
+                                std::chrono::microseconds(step_us));
+                    },
+                    [](long &state, std::vector<long> &partials,
+                       std::uint64_t, std::uint64_t) {
+                        for (const long partial : partials)
+                            state += partial;
+                    }}),
             workers);
     }
 };

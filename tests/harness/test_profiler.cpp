@@ -23,7 +23,7 @@ TEST(TimelineRecorder, CapturesEveryVersionWithTimestamps)
 {
     Automaton automaton;
     auto out = automaton.makeBuffer<long>("out");
-    automaton.addStage(std::make_shared<DiffusiveSourceStage<long>>(
+    automaton.addStage(makeDiffusiveSource<long>(
         "counter", out, 0L, 100,
         [](std::uint64_t, long &state, StageContext &) { state += 1; },
         /*publish_period=*/10));
@@ -48,7 +48,7 @@ TEST(Profiler, ProfileToCompletionScoresEveryVersion)
 {
     Automaton automaton;
     auto out = automaton.makeBuffer<long>("out");
-    automaton.addStage(std::make_shared<DiffusiveSourceStage<long>>(
+    automaton.addStage(makeDiffusiveSource<long>(
         "counter", out, 0L, 64,
         [](std::uint64_t, long &state, StageContext &) { state += 1; },
         /*publish_period=*/8));
@@ -104,7 +104,7 @@ TEST(Report, StageStatsTableSummarizesARun)
 {
     Automaton automaton;
     auto out = automaton.makeBuffer<long>("out");
-    automaton.addStage(std::make_shared<DiffusiveSourceStage<long>>(
+    automaton.addStage(makeDiffusiveSource<long>(
         "counter", out, 0L, 100,
         [](std::uint64_t, long &state, StageContext &) { state += 1; },
         /*publish_period=*/25));

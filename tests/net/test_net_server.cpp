@@ -292,6 +292,30 @@ TEST(NetServer, ConnectionCapRejectsAtAccept)
               1.0);
 }
 
+TEST(NetServer, PerIpAcceptThrottleClosesConnectsPastTheBurst)
+{
+    Rig rig([](NetServerConfig &config) {
+        config.perIpAcceptBurst = 2.0;
+        config.perIpAcceptRate = 1e-6; // no refill within the test
+    });
+    // Two connects from 127.0.0.1 spend the burst: one stream, then
+    // the /statusz read that reports the single per-IP bucket.
+    const auto first = runRequest(rig.client(),
+                                  counterRequestFrame("32:200:8", 1000000));
+    EXPECT_TRUE(first.ok) << first.error;
+    const auto status = httpGet(rig.client(), "/statusz");
+    ASSERT_TRUE(status.ok) << status.error;
+    EXPECT_NE(status.body.find("\"accept_buckets\":1,"), std::string::npos)
+        << status.body;
+    // The third connect finds the bucket empty and is closed at accept.
+    const auto third = runRequest(rig.client(2000ms),
+                                  counterRequestFrame("32:200:8", 1000000));
+    EXPECT_FALSE(third.ok);
+    EXPECT_EQ(counterValue(rig.registry,
+                           "anytime_net_accept_throttled_total"),
+              1.0);
+}
+
 TEST(NetServer, UnknownPipelineGetsAnErrorFrame)
 {
     Rig rig;

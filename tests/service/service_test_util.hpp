@@ -47,7 +47,7 @@ counterRequest(std::string name, std::uint64_t steps,
     request.factory = [steps, step_us, publish_period, probe] {
         auto automaton = std::make_unique<Automaton>();
         auto out = automaton->makeBuffer<long>("count");
-        automaton->addStage(std::make_shared<DiffusiveSourceStage<long>>(
+        automaton->addStage(makeDiffusiveSource<long>(
             "counter", out, 0L, steps,
             [step_us](std::uint64_t, long &state, StageContext &) {
                 state += 1;

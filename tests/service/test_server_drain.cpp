@@ -128,9 +128,9 @@ TEST(ServerDrain, AcceptedWorkFinishesPreciseWithinTheGrace)
 
 /**
  * Stage that works silently for @c runtime and only publishes its
- * (final) output at the very end. A DiffusiveSourceStage cannot model
- * this: its first completed batch always publishes, so a drain-stop
- * can always salvage something. Here a stop before completion leaves
+ * (final) output at the very end. A diffusive source cannot model
+ * this: its first step always publishes, so a drain-stop can always
+ * salvage something. Here a stop before completion leaves
  * the output buffer at version 0.
  */
 class MuteStage : public Stage

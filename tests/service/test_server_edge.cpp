@@ -29,7 +29,7 @@ boomRequest()
     request.factory = [] {
         auto automaton = std::make_unique<Automaton>();
         auto out = automaton->makeBuffer<long>("out");
-        automaton->addStage(std::make_shared<DiffusiveSourceStage<long>>(
+        automaton->addStage(makeDiffusiveSource<long>(
             "thrower", out, 0L, 100,
             [](std::uint64_t step, long &state, StageContext &) {
                 if (step == 5)
@@ -196,7 +196,7 @@ TEST(ServerEdge, SlowFactoriesDoNotStarveDeadlineEnforcement)
             auto automaton = std::make_unique<Automaton>();
             auto out = automaton->makeBuffer<long>("out");
             automaton->addStage(
-                std::make_shared<DiffusiveSourceStage<long>>(
+                makeDiffusiveSource<long>(
                     "quick", out, 0L, 8,
                     [](std::uint64_t, long &state, StageContext &) {
                         state += 1;
