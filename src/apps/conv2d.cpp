@@ -4,10 +4,10 @@
 #include <cmath>
 
 #include "approx/fixed_point.hpp"
+#include "apps/tree_fill.hpp"
 #include "core/parallel_stage.hpp"
 #include "core/transform_stage.hpp"
 #include "image/progressive.hpp"
-#include "sampling/replay.hpp"
 #include "simd/simd.hpp"
 #include "support/error.hpp"
 
@@ -304,11 +304,12 @@ makeConv2dAutomaton(GrayImage src, Kernel kernel,
                          : std::shared_ptr<const QuantizedKernel>{};
 
     // Partitioned sweep (Section IV-C1): the tree permutation demands
-    // cyclic distribution. Each worker logs its (sample, value) pairs;
-    // the window leader replays all logs in global sample order, so the
-    // resolution-ordered block fills land exactly as in a single-worker
+    // cyclic distribution. Each worker keeps its slice's values in
+    // slice order and, after the window barrier, writes them over
+    // their disjoint tree regions (apps/tree_fill.hpp), so the gang
+    // reproduces the resolution-ordered block fill of a single-worker
     // sweep — every published version is bit-identical.
-    using Partial = OrdinalLog<std::uint8_t>;
+    using Partial = std::vector<std::uint8_t>;
     SweepLayout layout;
     layout.steps = steps;
     layout.window = period;
@@ -327,24 +328,17 @@ makeConv2dAutomaton(GrayImage src, Kernel kernel,
                     std::min(pixels, (step + 1) * chunk);
                 for (std::uint64_t s = step * chunk; s < end; ++s) {
                     const std::size_t x = plan->x(s), y = plan->y(s);
-                    const std::uint8_t value =
+                    partial.push_back(
                         (precision >= 8)
                             ? convolvePixel(*input, *blur, x, y)
                             : quantized->convolvePixel(*input, x, y,
-                                                       precision);
-                    partial.push_back({s, value});
+                                                       precision));
                 }
             },
-            [plan](GrayImage &state, std::vector<Partial> &partials,
-                   std::uint64_t, std::uint64_t) {
-                std::vector<const Partial *> logs;
-                logs.reserve(partials.size());
-                for (const Partial &partial : partials)
-                    logs.push_back(&partial);
-                replayOrdinalLogs<std::uint8_t>(
-                    logs, [&](std::uint64_t s, std::uint8_t value) {
-                        plan->fill(state, s, value);
-                    });
+            /*merge=*/{},
+            [plan](GrayImage &state, const Partial &partial,
+                   const SweepSlice &slice) {
+                fillTreeSlice(state, *plan, chunk, slice, partial);
             }});
 
     automaton->addStage(std::move(stage), config.workers);

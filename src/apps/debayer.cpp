@@ -1,9 +1,9 @@
 #include "apps/debayer.hpp"
 
+#include "apps/tree_fill.hpp"
 #include "core/parallel_stage.hpp"
 #include "core/transform_stage.hpp"
 #include "image/progressive.hpp"
-#include "sampling/replay.hpp"
 #include "support/error.hpp"
 
 namespace anytime {
@@ -111,11 +111,11 @@ makeDebayerAutomaton(GrayImage mosaic, const DebayerConfig &config)
     const std::uint64_t period = std::max<std::uint64_t>(
         1, steps / std::max<std::uint64_t>(1, config.publishCount));
 
-    // Partitioned sweep (Section IV-C1), as in conv2d: tree block fills
-    // are order-dependent, so each worker logs its (sample, value) pairs
-    // and the window leader replays them in global sample order — every
-    // published version is bit-identical to the single-worker run.
-    using Partial = OrdinalLog<RgbPixel>;
+    // Partitioned sweep (Section IV-C1), as in conv2d: each worker
+    // keeps its slice's values and writes them over their disjoint tree
+    // regions after the window barrier — every published version is
+    // bit-identical to the single-worker run.
+    using Partial = std::vector<RgbPixel>;
     SweepLayout layout;
     layout.steps = steps;
     layout.window = period;
@@ -131,21 +131,14 @@ makeDebayerAutomaton(GrayImage mosaic, const DebayerConfig &config)
                                   StageContext &) {
                 const std::uint64_t end =
                     std::min(pixels, (step + 1) * chunk);
-                for (std::uint64_t s = step * chunk; s < end; ++s) {
+                for (std::uint64_t s = step * chunk; s < end; ++s)
                     partial.push_back(
-                        {s, debayerPixel(*input, plan->x(s), plan->y(s))});
-                }
+                        debayerPixel(*input, plan->x(s), plan->y(s)));
             },
-            [plan](RgbImage &state, std::vector<Partial> &partials,
-                   std::uint64_t, std::uint64_t) {
-                std::vector<const Partial *> logs;
-                logs.reserve(partials.size());
-                for (const Partial &partial : partials)
-                    logs.push_back(&partial);
-                replayOrdinalLogs<RgbPixel>(
-                    logs, [&](std::uint64_t s, const RgbPixel &value) {
-                        plan->fill(state, s, value);
-                    });
+            /*merge=*/{},
+            [plan](RgbImage &state, const Partial &partial,
+                   const SweepSlice &slice) {
+                fillTreeSlice(state, *plan, chunk, slice, partial);
             }});
 
     automaton->addStage(std::move(stage), config.workers);

@@ -1,12 +1,13 @@
 #include "apps/histeq.hpp"
 
+#include "apps/tree_fill.hpp"
+
 #include <cmath>
 
 #include "core/parallel_stage.hpp"
 #include "core/transform_stage.hpp"
 #include "image/progressive.hpp"
 #include "sampling/lfsr_permutation.hpp"
-#include "sampling/replay.hpp"
 #include "simd/simd.hpp"
 #include "support/error.hpp"
 
@@ -162,12 +163,13 @@ makeHisteqAutomaton(GrayImage src, const HisteqConfig &config)
     const std::uint64_t apply_period = std::max<std::uint64_t>(
         1, pixels / std::max<std::uint64_t>(1, config.applyVersions));
     // Partitioned body: each consumed LUT version triggers a fresh
-    // sweep; windows are sliced cyclically (tree permutation) and
-    // worker write logs are replayed in global sample order, so the
-    // output matches the single-worker sweep bit for bit. A sweep over
-    // a non-final LUT is abandoned when a fresher LUT lands (never
-    // possible for the final LUT — the precise output is guaranteed).
-    using ApplyPartial = OrdinalLog<std::uint8_t>;
+    // sweep; windows are sliced cyclically (tree permutation) and each
+    // worker writes its slice's values over their disjoint tree
+    // regions, so the output matches the single-worker sweep bit for
+    // bit. A sweep over a non-final LUT is abandoned when a fresher LUT
+    // lands (never possible for the final LUT — the precise output is
+    // guaranteed).
+    using ApplyPartial = std::vector<std::uint8_t>;
     PartitionedBody<ApplyPartial, GrayImage, PixelLut> apply_body;
     apply_body.layout.steps = pixels;
     apply_body.layout.window = apply_period;
@@ -183,20 +185,11 @@ makeHisteqAutomaton(GrayImage src, const HisteqConfig &config)
     apply_body.step = [input, plan](const PixelLut &lut,
                                     std::uint64_t step,
                                     ApplyPartial &partial, StageContext &) {
-        partial.push_back(
-            {step, lut[input->at(plan->x(step), plan->y(step))]});
+        partial.push_back(lut[input->at(plan->x(step), plan->y(step))]);
     };
-    apply_body.merge = [plan](GrayImage &state,
-                              std::vector<ApplyPartial> &partials,
-                              std::uint64_t, std::uint64_t) {
-        std::vector<const ApplyPartial *> logs;
-        logs.reserve(partials.size());
-        for (const ApplyPartial &partial : partials)
-            logs.push_back(&partial);
-        replayOrdinalLogs<std::uint8_t>(
-            logs, [&](std::uint64_t s, std::uint8_t value) {
-                plan->fill(state, s, value);
-            });
+    apply_body.fill = [plan](GrayImage &state, const ApplyPartial &partial,
+                             const SweepSlice &slice) {
+        fillTreeSlice(state, *plan, /*chunk=*/1, slice, partial);
     };
     auto apply_stage = std::make_shared<TransformStage<GrayImage, PixelLut>>(
         "apply", lut_buf, out_buf, std::move(apply_body));

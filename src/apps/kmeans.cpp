@@ -1,9 +1,9 @@
 #include "apps/kmeans.hpp"
 
+#include "apps/tree_fill.hpp"
 #include "core/parallel_stage.hpp"
 #include "core/transform_stage.hpp"
 #include "image/progressive.hpp"
-#include "sampling/replay.hpp"
 #include "simd/simd.hpp"
 #include "support/error.hpp"
 
@@ -164,14 +164,15 @@ makeKmeansAutomaton(RgbImage src, const KmeansConfig &config)
     // Stage 1: diffusive assignment with tree output sampling. Labels
     // are block-filled so every intermediate version covers the whole
     // image; sums accumulate only truly sampled pixels. Partitioned
-    // per Section IV-C1 (tree -> cyclic): workers log their label
-    // writes and accumulate private cluster sums; the window leader
-    // replays labels in global sample order and adds the sums in fixed
-    // partition order, keeping every version bit-identical to a
-    // single-worker sweep (integer sums commute exactly).
+    // per Section IV-C1 (tree -> cyclic): workers keep their slice's
+    // labels and private cluster sums; each worker writes its labels
+    // over their disjoint tree regions, and the window leader adds the
+    // sums in fixed partition order, keeping every version
+    // bit-identical to a single-worker sweep (integer sums commute
+    // exactly).
     struct AssignPartial
     {
-        OrdinalLog<std::uint8_t> labels;
+        std::vector<std::uint8_t> labels;
         std::vector<ClusterSum> sums;
     };
     const unsigned clusters = config.clusters;
@@ -205,25 +206,16 @@ makeKmeansAutomaton(RgbImage src, const KmeansConfig &config)
                     const RgbPixel &pixel =
                         input->at(plan->x(s), plan->y(s));
                     const unsigned c = index->nearest(pixel);
-                    partial.labels.push_back(
-                        {s, static_cast<std::uint8_t>(c)});
+                    partial.labels.push_back(static_cast<std::uint8_t>(c));
                     partial.sums[c].r += pixel.r;
                     partial.sums[c].g += pixel.g;
                     partial.sums[c].b += pixel.b;
                     ++partial.sums[c].count;
                 }
             },
-            [plan](KmeansAssignment &state,
-                   std::vector<AssignPartial> &partials, std::uint64_t,
-                   std::uint64_t) {
-                std::vector<const OrdinalLog<std::uint8_t> *> logs;
-                logs.reserve(partials.size());
-                for (const AssignPartial &partial : partials)
-                    logs.push_back(&partial.labels);
-                replayOrdinalLogs<std::uint8_t>(
-                    logs, [&](std::uint64_t s, std::uint8_t label) {
-                        plan->fill(state.labels, s, label);
-                    });
+            [](KmeansAssignment &state,
+               std::vector<AssignPartial> &partials, std::uint64_t,
+               std::uint64_t) {
                 for (const AssignPartial &partial : partials) {
                     for (std::size_t c = 0; c < partial.sums.size(); ++c) {
                         state.sums[c].r += partial.sums[c].r;
@@ -232,6 +224,11 @@ makeKmeansAutomaton(RgbImage src, const KmeansConfig &config)
                         state.sums[c].count += partial.sums[c].count;
                     }
                 }
+            },
+            [plan](KmeansAssignment &state, const AssignPartial &partial,
+                   const SweepSlice &slice) {
+                fillTreeSlice(state.labels, *plan, chunk, slice,
+                              partial.labels);
             }});
 
     // Stage 2 (non-anytime): reduce sums to centroids and recolor.

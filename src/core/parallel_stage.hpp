@@ -18,10 +18,12 @@
  *    TransformStage's PartitionedCore (core/transform_stage.hpp), which
  *    runs every PartitionedBody stage, sources and transforms alike.
  *    Each publish period ("window") is sliced with a
- *    CyclicPartition/BlockPartition, each worker folds its slice into
- *    a private partial, and the leader merges partials in fixed
- *    partition order — so the published version sequence is
- *    bit-identical to a single-worker run, for every version.
+ *    CyclicPartition/BlockPartition (SweepSlice), each worker folds its
+ *    slice into a private partial, optionally writes its own results
+ *    into the shared state in a fill phase (disjoint writes, e.g. tree
+ *    regions), and the leader merges any reduction in fixed partition
+ *    order — so the published version sequence is bit-identical to a
+ *    single-worker run, for every version.
  *
  * All blocking waits take the automaton's stop token, so stop/pause
  * never deadlocks a gang: a worker that exits early leaves the barrier,
@@ -299,6 +301,40 @@ struct SweepLayout
     std::chrono::nanoseconds stallTimeout{0};
 };
 
+/**
+ * One worker's slice of one window [begin, end) of steps (Section
+ * IV-C1): its k-th step, for k < size, is first + k * stride. The
+ * window loop runs the slice's steps in that order, and a region fill
+ * walks them again in the same order.
+ */
+struct SweepSlice
+{
+    /** The window's end (its first step past the window). */
+    std::uint64_t end = 0;
+    std::uint64_t size = 0;
+    std::uint64_t first = 0;
+    std::uint64_t stride = 1;
+
+    /** The slice of worker @p worker of @p workers. */
+    static SweepSlice
+    of(std::uint64_t begin, std::uint64_t end, PartitionKind kind,
+       unsigned workers, unsigned worker)
+    {
+        // Workers beyond the window length get an empty slice but
+        // still take part in the window's barriers.
+        const SequentialPermutation ordinals(end - begin);
+        if (kind == PartitionKind::cyclic) {
+            const CyclicPartition part(ordinals, workers, worker);
+            return {end, part.size(), begin + part.ordinal(0), workers};
+        }
+        const BlockPartition part(ordinals, workers, worker);
+        return {end, part.size(), begin + part.ordinal(0), 1};
+    }
+
+    /** The slice's @p k-th step. */
+    std::uint64_t step(std::uint64_t k) const { return first + k * stride; }
+};
+
 /** Cached observability handles for one partitioned stage. */
 struct SweepObs
 {
@@ -323,9 +359,9 @@ struct SweepGang
               SweepObs obs_handles = {})
         : barrier(workers), obs(obs_handles)
     {
-        partials.reserve(workers);
+        slots.reserve(workers);
         for (unsigned w = 0; w < workers; ++w)
-            partials.push_back(make());
+            slots.push_back(Slot{make()});
     }
 
     /**
@@ -342,11 +378,23 @@ struct SweepGang
         const unsigned expelled = barrier.expelledCount();
         if (expelled > 0)
             out.markDegraded(1.0 - static_cast<double>(expelled) /
-                                       static_cast<double>(partials.size()));
+                                       static_cast<double>(slots.size()));
     }
 
+    /**
+     * One worker's partial, alone on its cache line(s). A step updates
+     * the partial (a running sum, a vector's end pointer); partials
+     * packed side by side would bounce one line between the workers'
+     * cores on every update, which made each worker of a 4-gang about
+     * as slow as one worker doing the whole sweep.
+     */
+    struct alignas(64) Slot
+    {
+        P partial;
+    };
+
     SweepBarrier barrier;
-    std::vector<P> partials;
+    std::vector<Slot> slots;
     SweepObs obs;
     /**
      * Leader verdict for the just-merged window: true when the sweep
@@ -380,6 +428,12 @@ enum class SweepStatus
  *                start of each window (capacity is reused).
  * @param step    step(global_step, partial, ctx): fold one diffusive
  *                step into the private partial.
+ * @param fill    Optional region fill, fill(partial, slice): after the
+ *                window barrier, every worker still in the gang writes
+ *                its slice's results into the shared stage state. The
+ *                writes of different workers must be disjoint. A second
+ *                barrier then closes the window; an empty @p fill skips
+ *                this phase and its barrier.
  * @param window  Leader only — window(partials, begin, end): merge all
  *                partials (fixed order 0..k-1) into the stage state
  *                and publish; return false to abandon the sweep.
@@ -389,12 +443,14 @@ enum class SweepStatus
  */
 template <typename P, typename ResetFn, typename StepFn, typename WindowFn>
 SweepStatus
-runPartitionedSweep(StageContext &ctx, SweepGang<P> &gang,
-                    const SweepLayout &layout, ResetFn &&reset,
-                    StepFn &&step, WindowFn &&window)
+runPartitionedSweep(
+    StageContext &ctx, SweepGang<P> &gang, const SweepLayout &layout,
+    ResetFn &&reset, StepFn &&step,
+    const std::function<void(P &, const SweepSlice &)> &fill,
+    WindowFn &&window)
 {
     const unsigned worker = ctx.workerId();
-    P &partial = gang.partials[worker];
+    P &partial = gang.slots[worker].partial;
     for (std::uint64_t begin = 0; begin < layout.steps;
          begin += layout.window) {
         const std::uint64_t end =
@@ -407,10 +463,9 @@ runPartitionedSweep(StageContext &ctx, SweepGang<P> &gang,
         }
 
         reset(partial);
-        // This worker's slice of the window (Section IV-C1). Workers
-        // beyond the window length get an empty slice but still take
-        // part in the barrier below.
-        const SequentialPermutation ordinals(end - begin);
+        // This worker's slice of the window (Section IV-C1).
+        const SweepSlice slice = SweepSlice::of(
+            begin, end, layout.kind, ctx.workerCount(), worker);
         std::uint64_t done = 0;
         bool alive = true;
         {
@@ -420,21 +475,11 @@ runPartitionedSweep(StageContext &ctx, SweepGang<P> &gang,
                              obs::TraceArg{"worker",
                                            static_cast<double>(worker)},
                              obs::TraceArg{"window", window_index});
-            const auto run_slice = [&](const auto &part) {
-                const std::uint64_t samples = part.size();
-                for (std::uint64_t k = 0; k < samples; ++k) {
-                    step(begin + part.map(k), partial, ctx);
-                    if (++done % layout.checkpointStride == 0 &&
-                        !ctx.checkpoint())
-                        return false;
-                }
-                return true;
-            };
-            alive = (layout.kind == PartitionKind::cyclic)
-                        ? run_slice(CyclicPartition(
-                              ordinals, ctx.workerCount(), worker))
-                        : run_slice(BlockPartition(
-                              ordinals, ctx.workerCount(), worker));
+            for (std::uint64_t k = 0; k < slice.size && alive; ++k) {
+                step(slice.step(k), partial, ctx);
+                alive = (++done % layout.checkpointStride != 0) ||
+                        ctx.checkpoint();
+            }
         }
         if (done > 0) {
             ctx.addWork(done);
@@ -446,8 +491,43 @@ runPartitionedSweep(StageContext &ctx, SweepGang<P> &gang,
             return SweepStatus::stopped;
         }
 
-        switch (gang.barrier.arrive(worker, ctx.stopToken(),
-                                    layout.stallTimeout)) {
+        if (fill) {
+            // Fill phase. Only workers past this barrier write shared
+            // state: a worker the watchdog expels here is still inside
+            // its slice and never reaches the fill, so the survivors'
+            // writes (and the publish after them) can't race with it.
+            switch (gang.barrier.arrive(worker, ctx.stopToken(),
+                                        layout.stallTimeout)) {
+            case SweepBarrier::Outcome::stopped:
+                gang.barrier.leave(worker);
+                return SweepStatus::stopped;
+            case SweepBarrier::Outcome::expelled:
+                return SweepStatus::expelled;
+            case SweepBarrier::Outcome::leader:
+                gang.barrier.release();
+                break;
+            case SweepBarrier::Outcome::released:
+                break;
+            }
+            // The fill is short, bounded work with no checkpoint. It
+            // is this worker's own work on its slice, so it is traced
+            // as a slice span (its window arg is "fill_window").
+            std::optional<obs::TraceSpan> span;
+            if (obs::tracingEnabled() && gang.obs.sliceSpan)
+                span.emplace(gang.obs.sliceSpan, "partition",
+                             obs::TraceArg{"worker",
+                                           static_cast<double>(worker)},
+                             obs::TraceArg{"fill_window", window_index});
+            fill(partial, slice);
+        }
+
+        // The window barrier. After a fill phase it has no watchdog:
+        // every member has passed the first barrier and runs only its
+        // bounded fill, and expelling a worker mid-fill would let it
+        // write the state while the leader publishes.
+        switch (gang.barrier.arrive(
+            worker, ctx.stopToken(),
+            fill ? std::chrono::nanoseconds::zero() : layout.stallTimeout)) {
         case SweepBarrier::Outcome::stopped:
             gang.barrier.leave(worker);
             return SweepStatus::stopped;
@@ -473,32 +553,24 @@ runPartitionedSweep(StageContext &ctx, SweepGang<P> &gang,
                         obs::TraceArg{"window", window_index},
                         obs::TraceArg{"steps",
                                       static_cast<double>(end - begin)});
-                if (gang.barrier.expelledCount() == 0) {
-                    keep = window(gang.partials, begin, end);
-                } else {
-                    // Expelled workers may still be scribbling on
-                    // their partials: merge a compacted vector of the
-                    // surviving partials (moved out and back, ascending
-                    // worker order preserved) so the merge callback
-                    // never reads a partial it might race with.
-                    const auto active = gang.barrier.activeWorkers();
-                    std::vector<P> survivors;
-                    std::vector<std::size_t> indices;
-                    survivors.reserve(gang.partials.size());
-                    indices.reserve(gang.partials.size());
-                    for (std::size_t w = 0; w < gang.partials.size();
-                         ++w) {
-                        if (active[w]) {
-                            survivors.push_back(
-                                std::move(gang.partials[w]));
-                            indices.push_back(w);
-                        }
+                // Merge the surviving partials, moved out of their
+                // slots and back in ascending worker order. Expelled
+                // workers may still be scribbling on their own
+                // partials, so the merge never reads those.
+                const auto active = gang.barrier.activeWorkers();
+                std::vector<P> survivors;
+                std::vector<std::size_t> indices;
+                survivors.reserve(gang.slots.size());
+                indices.reserve(gang.slots.size());
+                for (std::size_t w = 0; w < gang.slots.size(); ++w) {
+                    if (active[w]) {
+                        survivors.push_back(std::move(gang.slots[w].partial));
+                        indices.push_back(w);
                     }
-                    keep = window(survivors, begin, end);
-                    for (std::size_t i = 0; i < indices.size(); ++i)
-                        gang.partials[indices[i]] =
-                            std::move(survivors[i]);
                 }
+                keep = window(survivors, begin, end);
+                for (std::size_t i = 0; i < indices.size(); ++i)
+                    gang.slots[indices[i]].partial = std::move(survivors[i]);
             }
             gang.abandoned = !keep;
             gang.barrier.release();

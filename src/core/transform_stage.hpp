@@ -48,11 +48,12 @@ namespace anytime {
  *
  * Per consumed input-version set: the leader creates a fresh output
  * state with init(); every window of layout.steps is sliced among the
- * workers, each folding step() results into its private partial; the
- * leader merges partials in fixed order with merge() and publishes the
- * state. A sweep over non-final inputs is abandoned as soon as fresher
- * inputs supersede it (the re-run on final inputs always completes, so
- * the precise output is still guaranteed). With no inputs (a source)
+ * workers, each folding step() results into its private partial; with
+ * a fill(), every worker then writes its own results into the state;
+ * the leader merges any reduction in fixed order with merge() and
+ * publishes the state. A sweep over non-final inputs is abandoned as
+ * soon as fresher inputs supersede it (the re-run on final inputs
+ * always completes, so the precise output is still guaranteed). With no inputs (a source)
  * there is one input-version set, so init() runs once and the stage
  * sweeps once.
  *
@@ -75,10 +76,22 @@ struct PartitionedBody
     std::function<void(const Is &..., std::uint64_t step, P &partial,
                        StageContext &ctx)>
         step;
-    /** Leader: merge partials (order 0..k-1) into the output state. */
+    /**
+     * Leader: merge partials (order 0..k-1) into the output state
+     * before each publish. Optional: a body whose results all go
+     * through fill() has no reduction to merge.
+     */
     std::function<void(O &state, std::vector<P> &partials,
                        std::uint64_t begin, std::uint64_t end)>
         merge;
+    /**
+     * Optional region fill: every worker writes the results of its own
+     * slice of a window into the output state, each worker a disjoint
+     * part, so no leader replays them. Runs after the window barrier,
+     * on the workers still in the gang, before merge() and the publish.
+     */
+    std::function<void(O &state, const P &partial, const SweepSlice &slice)>
+        fill = {};
 };
 
 /**
@@ -440,6 +453,11 @@ class TransformStage : public Stage
                     continue;
                 }
 
+                std::function<void(P &, const SweepSlice &)> fill;
+                if (body.fill)
+                    fill = [&](P &partial, const SweepSlice &slice) {
+                        body.fill(*state, partial, slice);
+                    };
                 const SweepStatus status = runPartitionedSweep(
                     ctx, *gang, body.layout, body.resetPartial,
                     [&](std::uint64_t s, P &partial, StageContext &c) {
@@ -449,10 +467,12 @@ class TransformStage : public Stage
                             },
                             snaps);
                     },
+                    fill,
                     [&](std::vector<P> &partials, std::uint64_t begin,
                         std::uint64_t end) {
                         gang->markExpelled(*stage.out);
-                        body.merge(*state, partials, begin, end);
+                        if (body.merge)
+                            body.merge(*state, partials, begin, end);
                         const bool last = (end == body.layout.steps);
                         stage.out->publish(*state, last && sweep.final);
                         if (last) {

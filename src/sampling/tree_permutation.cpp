@@ -81,6 +81,15 @@ TreeSchedule::mapPadded(std::uint64_t i) const
     return flat;
 }
 
+std::uint64_t
+TreeSchedule::paddedOf(const std::uint64_t *coords) const
+{
+    std::uint64_t padded = 0;
+    for (unsigned j = 0; j < totalBits; ++j)
+        padded |= ((coords[schedDim[j]] >> schedBit[j]) & 1) << j;
+    return padded;
+}
+
 unsigned
 TreeSchedule::levelAfter(std::uint64_t samples) const
 {

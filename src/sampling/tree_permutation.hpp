@@ -78,6 +78,27 @@ class TreeSchedule
      */
     std::uint64_t mapPadded(std::uint64_t i) const;
 
+    /**
+     * Closed-form inverse of mapPadded() on coordinates: the padded
+     * ordinal whose sample sits at @p coords (dims().size() entries,
+     * each inside its extent). O(bits) per call.
+     */
+    std::uint64_t paddedOf(const std::uint64_t *coords) const;
+
+    /**
+     * The dimension a sample of @p level (>= 1) splits: its highest
+     * ordinal bit lands there, so it sits blockExtent(level, dim) past
+     * its level-(level - 1) parent along that dimension.
+     */
+    unsigned
+    splitDim(unsigned level) const
+    {
+        return schedDim[level - 1];
+    }
+
+    /** Number of levels above level 0 (the padded ordinal bits). */
+    unsigned levels() const { return totalBits; }
+
     /** Extent along @p dim of the block a sample of @p level refines. */
     std::uint64_t
     blockExtent(unsigned level, unsigned dim) const

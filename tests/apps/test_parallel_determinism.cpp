@@ -4,7 +4,11 @@
  * (Section IV-C1). Each app runs at 1, 2, 4, and 7 workers; the
  * partitioned merge is deterministic, so intra-stage versions must be
  * bit-identical to the single-worker run, and the final output must be
- * the precise baseline result. Covers all three permutation families:
+ * the precise baseline result. Tree-sampled versions are also compared
+ * with the sequential specification (the ordinal-order block fill of
+ * the precise per-sample values up to each window end), so a worker
+ * count that shares a wrong fill with the single-worker run still
+ * fails. Covers all three permutation families:
  * tree (conv2d, debayer, kmeans assign, histeq apply), LFSR (histeq
  * histogram, both cyclic and block partitions), and sequential (matmul
  * planes).
@@ -12,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -23,6 +28,7 @@
 #include "harness/profiler.hpp"
 #include "image/generate.hpp"
 #include "image/metrics.hpp"
+#include "image/progressive.hpp"
 
 namespace anytime {
 namespace {
@@ -61,11 +67,61 @@ expectSameVersions(
     }
 }
 
+/**
+ * The sequential specification of a tree-sampled app's versions: the
+ * ordinal-order fillTreeBlock of @p value(x, y) over every sample up to
+ * each window end. The apps run @p chunk samples per sweep step and
+ * publish every max(1, steps / versions) steps.
+ */
+template <typename T, typename Value>
+std::vector<Image<T>>
+sequentialVersions(std::size_t width, std::size_t height,
+                   std::uint64_t chunk, std::uint64_t versions, Value value)
+{
+    const TreePermutation perm = TreePermutation::twoDim(height, width);
+    const std::uint64_t pixels = perm.size();
+    const std::uint64_t steps = (pixels + chunk - 1) / chunk;
+    const std::uint64_t period =
+        std::max<std::uint64_t>(1, steps / std::max<std::uint64_t>(1, versions));
+    std::vector<Image<T>> out;
+    Image<T> image(width, height);
+    std::uint64_t sample = 0;
+    for (std::uint64_t end_step = period;; end_step += period) {
+        const std::uint64_t end =
+            std::min(pixels, std::min(end_step, steps) * chunk);
+        for (; sample < end; ++sample) {
+            const auto [x, y] = treeSampleCoords(perm, sample, width);
+            fillTreeBlock(image, perm, sample, value(x, y));
+        }
+        out.push_back(image);
+        if (end == pixels)
+            return out;
+    }
+}
+
+/** Every recorded version equals its sequential reference. */
+template <typename T, typename Entry, typename Project>
+void
+expectSequentialVersions(const std::vector<Image<T>> &reference,
+                         const std::vector<Entry> &versions, Project project,
+                         const char *what, unsigned workers)
+{
+    ASSERT_EQ(versions.size(), reference.size())
+        << what << " workers " << workers;
+    for (std::size_t i = 0; i < versions.size(); ++i)
+        EXPECT_TRUE(project(*versions[i].value) == reference[i])
+            << what << " workers " << workers << " version "
+            << versions[i].version << " differs from the sequential fill";
+}
+
 TEST(ParallelDeterminism, Conv2dTreeSampling)
 {
     const GrayImage scene = generateScene(64, 48, 7);
     const Kernel kernel = Kernel::gaussianBlur(2);
     const GrayImage precise = convolve(scene, kernel);
+    const auto sequential = sequentialVersions<std::uint8_t>(
+        scene.width(), scene.height(), /*chunk=*/16, /*versions=*/16,
+        [&](std::size_t x, std::size_t y) { return precise.at(x, y); });
 
     std::vector<TimelineRecorder<GrayImage>::Entry> reference;
     for (const unsigned workers : kWorkerCounts) {
@@ -78,6 +134,9 @@ TEST(ParallelDeterminism, Conv2dTreeSampling)
         EXPECT_TRUE(versions.back().final);
         EXPECT_TRUE(*versions.back().value == precise)
             << "workers " << workers;
+        expectSequentialVersions(
+            sequential, versions, [](const GrayImage &image) -> const GrayImage & { return image; },
+            "conv2d", workers);
         if (workers == 1)
             reference = versions;
         else
@@ -91,6 +150,9 @@ TEST(ParallelDeterminism, DebayerTreeSampling)
     // Non-power-of-two extents: the padded tree walk skips samples.
     const GrayImage mosaic = bayerMosaic(generateColorScene(45, 38, 9));
     const RgbImage precise = debayer(mosaic);
+    const auto sequential = sequentialVersions<RgbPixel>(
+        mosaic.width(), mosaic.height(), /*chunk=*/16, /*versions=*/16,
+        [&](std::size_t x, std::size_t y) { return precise.at(x, y); });
 
     std::vector<TimelineRecorder<RgbImage>::Entry> reference;
     for (const unsigned workers : kWorkerCounts) {
@@ -103,6 +165,9 @@ TEST(ParallelDeterminism, DebayerTreeSampling)
         EXPECT_TRUE(versions.back().final);
         EXPECT_TRUE(*versions.back().value == precise)
             << "workers " << workers;
+        expectSequentialVersions(
+            sequential, versions, [](const RgbImage &image) -> const RgbImage & { return image; },
+            "debayer", workers);
         if (workers == 1)
             reference = versions;
         else
@@ -140,6 +205,12 @@ TEST(ParallelDeterminism, KmeansAssignTreeSampling)
     const RgbImage scene = generateColorScene(48, 40, 3);
     constexpr unsigned kClusters = 6;
     const KmeansResult precise = kmeansCluster(scene, kClusters);
+    const CentroidIndex index(kmeansSeeds(scene, kClusters));
+    const auto sequential = sequentialVersions<std::uint8_t>(
+        scene.width(), scene.height(), /*chunk=*/16, /*versions=*/8,
+        [&](std::size_t x, std::size_t y) {
+            return static_cast<std::uint8_t>(index.nearest(scene.at(x, y)));
+        });
 
     std::vector<TimelineRecorder<KmeansAssignment>::Entry> reference;
     for (const unsigned workers : kWorkerCounts) {
@@ -160,6 +231,11 @@ TEST(ParallelDeterminism, KmeansAssignTreeSampling)
 
         const auto versions = assigns.entries();
         ASSERT_FALSE(versions.empty());
+        expectSequentialVersions(
+            sequential, versions,
+            [](const KmeansAssignment &assignment)
+                -> const Image<std::uint8_t> & { return assignment.labels; },
+            "kmeans labels", workers);
         if (workers == 1)
             reference = versions;
         else
@@ -233,6 +309,48 @@ TEST(ParallelDeterminism, HisteqLfsrHistogramBothPartitionKinds)
             else
                 expectSameVersions<PixelHistogram>(
                     reference, versions, partitionKindName(kind), workers);
+        }
+    }
+}
+
+TEST(ParallelDeterminism, HisteqApplyTreeSampling)
+{
+    // One histogram version, so the apply stage sweeps exactly once, on
+    // the final LUT: its versions are then a deterministic ladder that
+    // refines toward the precise image.
+    const GrayImage scene = generateScene(45, 38, 17);
+    const GrayImage precise = histogramEqualize(scene);
+    const auto sequential = sequentialVersions<std::uint8_t>(
+        scene.width(), scene.height(), /*chunk=*/1, /*versions=*/12,
+        [&](std::size_t x, std::size_t y) { return precise.at(x, y); });
+
+    std::vector<TimelineRecorder<GrayImage>::Entry> reference;
+    for (const unsigned workers : kWorkerCounts) {
+        HisteqConfig config;
+        config.histogramVersions = 1;
+        config.applyVersions = 12;
+        config.applyWorkers = workers;
+        auto bundle = makeHisteqAutomaton(scene, config);
+        const auto versions = recordRun(*bundle.automaton, *bundle.output);
+        ASSERT_FALSE(versions.empty());
+        ASSERT_TRUE(versions.back().final);
+        EXPECT_TRUE(*versions.back().value == precise)
+            << "workers " << workers;
+        if (workers == 1)
+            reference = versions;
+        else
+            EXPECT_TRUE(*versions.back().value == *reference.back().value)
+                << "workers " << workers;
+        expectSequentialVersions(
+            sequential, versions, [](const GrayImage &image) -> const GrayImage & { return image; },
+            "histeq apply", workers);
+        double previous = -1e9;
+        for (const auto &entry : versions) {
+            const double snr = signalToNoiseDb(precise, *entry.value);
+            EXPECT_GE(snr, previous - 1e-9)
+                << "workers " << workers << " version " << entry.version
+                << " lost quality";
+            previous = snr;
         }
     }
 }

@@ -467,6 +467,67 @@ TEST(ChaosCoreWatchdog, MidSweepExpulsionDegradesPartitionedTransform)
     EXPECT_DOUBLE_EQ(snapshot.qorBound, 0.5);
 }
 
+TEST(ChaosCoreWatchdog, ExpelledWorkerNeverWritesMapSweepState)
+{
+    // A map sweep with a region fill: step s computes element s, and
+    // each worker writes its own elements into the shared state after
+    // the window barrier. Worker 1 stalls inside its first slice; the
+    // watchdog expels it, and it wakes up while the survivors are still
+    // sweeping. It must never write the state: its elements stay 0 in
+    // every version, and the output closes degraded with the surviving
+    // fraction 1 - 1/k. Under ThreadSanitizer a write from the
+    // expelled worker would race with the leader's publish copy.
+    constexpr unsigned kWorkers = 4;
+    constexpr std::uint64_t kSteps = 64;
+    constexpr std::uint64_t kWindow = 8;
+    using State = std::vector<std::uint64_t>;
+    using Partial = std::vector<std::uint64_t>;
+    const auto value = [](std::uint64_t step) { return step * step + 1; };
+    Automaton automaton;
+    auto out = automaton.makeBuffer<State>("map.out");
+    std::atomic<bool> stalled{false};
+    PartitionedBody<Partial, State> body;
+    body.layout.steps = kSteps;
+    body.layout.window = kWindow;
+    body.layout.kind = PartitionKind::cyclic;
+    body.layout.checkpointStride = 1;
+    body.layout.stallTimeout = 50ms;
+    body.makePartial = [] { return Partial{}; };
+    body.resetPartial = [](Partial &partial) { partial.clear(); };
+    body.init = [] { return State(kSteps, 0); };
+    body.step = [&](std::uint64_t step, Partial &partial, StageContext &ctx) {
+        if (ctx.workerId() == 1 && !stalled.exchange(true))
+            std::this_thread::sleep_for(80ms);
+        // Keep the survivors sweeping past the stalled worker's wake-up
+        // (expelled at ~60 ms, woken at 80 ms, survivors done ~150 ms).
+        std::this_thread::sleep_for(6ms);
+        partial.push_back(value(step));
+    };
+    body.fill = [](State &state, const Partial &partial,
+                   const SweepSlice &slice) {
+        for (std::uint64_t k = 0; k < slice.size; ++k)
+            state[slice.step(k)] = partial[k];
+    };
+    automaton.addStage(
+        std::make_shared<TransformStage<State>>("map", out, std::move(body)),
+        kWorkers);
+    automaton.start();
+    EXPECT_TRUE(automaton.waitUntilDone(30s));
+    automaton.shutdown();
+    ASSERT_TRUE(stalled.load());
+    ASSERT_TRUE(out->final());
+    const auto snapshot = out->read();
+    ASSERT_TRUE(snapshot.value != nullptr);
+    EXPECT_TRUE(snapshot.degraded);
+    EXPECT_DOUBLE_EQ(snapshot.qorBound, 1.0 - 1.0 / kWorkers);
+    for (std::uint64_t step = 0; step < kSteps; ++step) {
+        // Worker 1's cyclic share of every window.
+        const bool expelled_share = (step % kWindow) % kWorkers == 1;
+        EXPECT_EQ((*snapshot.value)[step], expelled_share ? 0 : value(step))
+            << "step " << step;
+    }
+}
+
 TEST_F(ChaosCoreTest, PoolDispatchFaultIsAbsorbed)
 {
     // A throw at the dispatch site must be absorbed by the pool: the

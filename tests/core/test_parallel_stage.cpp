@@ -17,7 +17,6 @@
 #include "core/automaton.hpp"
 #include "core/parallel_stage.hpp"
 #include "core/transform_stage.hpp"
-#include "sampling/replay.hpp"
 
 namespace anytime {
 namespace {
@@ -259,54 +258,64 @@ TEST(PartitionedDiffusiveStage, MoreWorkersThanWindowSteps)
     EXPECT_EQ(versions.back().value, expectedSum(5));
 }
 
-TEST(PartitionedDiffusiveStage, ReplayKeepsOrderSensitiveWritesExact)
+TEST(PartitionedDiffusiveStage, DisjointFillKeepsOrderSensitiveWritesExact)
 {
     // Writes that collide (state[s % 7], later ordinal wins) are order
     // sensitive across partitions — exactly the tree block-fill
-    // hazard. The ordinal-replayed merge must reproduce the sequential
-    // result for any worker count.
+    // hazard. In the fill phase each worker writes only the slots its
+    // own steps still own at the window end (no later step of the
+    // window has the same residue), so the writes are disjoint and
+    // every version must equal the sequential result at its window end
+    // for any worker count.
     constexpr std::uint64_t kSteps = 33;
+    constexpr std::uint64_t kWindow = 11;
     using State = std::vector<std::uint64_t>;
-    using Partial = OrdinalLog<std::uint64_t>;
+    using Partial = std::vector<std::uint64_t>;
+    const auto value = [](std::uint64_t step) { return step * 13 + 1; };
     const auto run = [&](unsigned workers) {
         SweepLayout layout;
         layout.steps = kSteps;
-        layout.window = 11;
+        layout.window = kWindow;
         layout.kind = PartitionKind::cyclic;
         Automaton automaton;
-        auto out = automaton.makeBuffer<State>("replay.out");
+        auto out = automaton.makeBuffer<State>("fill.out");
+        std::vector<State> versions;
+        out->addObserver([&](const Snapshot<State> &snapshot) {
+            versions.push_back(*snapshot.value);
+        });
         auto stage = std::make_shared<TransformStage<State>>(
-            "replay", out,
+            "fill", out,
             PartitionedBody<Partial, State>{
                 layout, [] { return Partial{}; },
                 [](Partial &partial) { partial.clear(); },
                 [] { return State(7, 0); },
-                [](std::uint64_t step, Partial &partial, StageContext &) {
-                    partial.push_back({step, step * 13 + 1});
+                [&](std::uint64_t step, Partial &partial, StageContext &) {
+                    partial.push_back(value(step));
                 },
-                [](State &state, std::vector<Partial> &partials,
-                   std::uint64_t, std::uint64_t) {
-                    std::vector<const Partial *> logs;
-                    for (const Partial &partial : partials)
-                        logs.push_back(&partial);
-                    replayOrdinalLogs<std::uint64_t>(
-                        logs,
-                        [&](std::uint64_t s, std::uint64_t value) {
-                            state[s % 7] = value;
-                        });
+                /*merge=*/{},
+                [](State &state, const Partial &partial,
+                   const SweepSlice &slice) {
+                    for (std::uint64_t k = 0; k < slice.size; ++k) {
+                        const std::uint64_t step = slice.step(k);
+                        if (step + 7 >= slice.end)
+                            state[step % 7] = partial[k];
+                    }
                 }});
         automaton.addStage(std::move(stage), workers);
         automaton.start();
         automaton.waitUntilDone();
         automaton.shutdown();
-        return *out->read().value;
+        return versions;
     };
-    State sequential(7, 0);
-    for (std::uint64_t step = 0; step < kSteps; ++step)
-        sequential[step % 7] = step * 13 + 1;
-    EXPECT_EQ(run(1), sequential);
-    EXPECT_EQ(run(4), sequential);
-    EXPECT_EQ(run(7), sequential);
+    std::vector<State> sequential;
+    State state(7, 0);
+    for (std::uint64_t step = 0; step < kSteps; ++step) {
+        state[step % 7] = value(step);
+        if ((step + 1) % kWindow == 0 || step + 1 == kSteps)
+            sequential.push_back(state);
+    }
+    for (const unsigned workers : {1u, 4u, 7u})
+        EXPECT_EQ(run(workers), sequential) << "workers " << workers;
 }
 
 TEST(PartitionedDiffusiveStage, StopMidSweepLeavesValidNonFinalBuffer)
@@ -352,7 +361,7 @@ TEST(PartitionedTransformStage, FinalOutputMatchesPreciseForAnyWorkers)
 {
     // square-each-element transform over the latest input version.
     using Vec = std::vector<std::int64_t>;
-    using Partial = OrdinalLog<std::int64_t>;
+    using Partial = Vec;
     const Vec input_final{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7};
     const auto run = [&](unsigned workers) {
         Automaton automaton;
@@ -370,18 +379,13 @@ TEST(PartitionedTransformStage, FinalOutputMatchesPreciseForAnyWorkers)
         };
         body.step = [](const Vec &in_value, std::uint64_t step,
                        Partial &partial, StageContext &) {
-            partial.push_back(
-                {step, in_value[step] * in_value[step]});
+            partial.push_back(in_value[step] * in_value[step]);
         };
-        body.merge = [](Vec &state, std::vector<Partial> &partials,
-                        std::uint64_t, std::uint64_t) {
-            std::vector<const Partial *> logs;
-            for (const Partial &partial : partials)
-                logs.push_back(&partial);
-            replayOrdinalLogs<std::int64_t>(
-                logs, [&](std::uint64_t s, std::int64_t value) {
-                    state[s] = value;
-                });
+        // Every step owns its own element: disjoint writes.
+        body.fill = [](Vec &state, const Partial &partial,
+                       const SweepSlice &slice) {
+            for (std::uint64_t k = 0; k < slice.size; ++k)
+                state[slice.step(k)] = partial[k];
         };
         auto stage = std::make_shared<TransformStage<Vec, Vec>>(
             "square", in, out, std::move(body));

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "core/transform_stage.hpp"
-#include "sampling/replay.hpp"
 
 namespace anytime {
 namespace {
@@ -247,7 +246,7 @@ TEST(TransformStage, DegradedCloseOfProcessedInputFinishesOutput)
 
 TEST(TransformStage, PartitionedDegradedCloseOfProcessedInputFinishesOutput)
 {
-    using Partial = OrdinalLog<int>;
+    using Partial = int;
     auto in = std::make_shared<VersionedBuffer<int>>("in");
     auto out = std::make_shared<VersionedBuffer<int>>("out");
     PartitionedBody<Partial, int, int> body;
@@ -255,15 +254,12 @@ TEST(TransformStage, PartitionedDegradedCloseOfProcessedInputFinishesOutput)
     body.layout.window = 1;
     body.layout.checkpointStride = 1;
     body.makePartial = [] { return Partial{}; };
-    body.resetPartial = [](Partial &partial) { partial.clear(); };
+    body.resetPartial = [](Partial &partial) { partial = 0; };
     body.init = [](const int &) { return 0; };
-    body.step = [](const int &value, std::uint64_t step, Partial &partial,
-                   StageContext &) { partial.push_back({step, value * 2}); };
-    body.merge = [](int &state, std::vector<Partial> &partials,
-                    std::uint64_t, std::uint64_t) {
-        for (const Partial &partial : partials)
-            for (const auto &write : partial)
-                state = write.value;
+    body.step = [](const int &value, std::uint64_t, Partial &partial,
+                   StageContext &) { partial = value * 2; };
+    body.fill = [](int &state, const Partial &partial, const SweepSlice &) {
+        state = partial;
     };
     TransformStage<int, int> stage("double", in, out, std::move(body));
     expectFinishesOnDegradedClose(stage, *in, *out);

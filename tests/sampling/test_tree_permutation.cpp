@@ -171,8 +171,8 @@ INSTANTIATE_TEST_SUITE_P(
  * The incremental walk against its closed-form specification: walking
  * the padded domain must visit exactly the in-range ordinals of
  * mapPadded(), in order, with the coordinates and level block extents
- * of each; and the permutation's table (built from the walk) must
- * agree with both.
+ * of each; paddedOf() must invert it on every visited coordinate; and
+ * the permutation's table (built from the walk) must agree with both.
  */
 void
 expectWalkMatchesClosedForm(const std::vector<std::uint64_t> &extents)
@@ -187,8 +187,10 @@ expectWalkMatchesClosedForm(const std::vector<std::uint64_t> &extents)
     std::vector<Visited> walked;
     walked.reserve(schedule.size());
     std::uint64_t block_mismatches = 0;
+    std::uint64_t inverse_mismatches = 0;
     schedule.walk([&](const std::uint64_t *coords, const std::uint64_t *block,
                       std::uint64_t padded) {
+        inverse_mismatches += schedule.paddedOf(coords) != padded;
         std::uint64_t flat = 0;
         for (std::size_t d = 0; d < dims; ++d) {
             flat = flat * extents[d] + coords[d];
@@ -200,6 +202,7 @@ expectWalkMatchesClosedForm(const std::vector<std::uint64_t> &extents)
     });
     ASSERT_EQ(walked.size(), schedule.size());
     EXPECT_EQ(block_mismatches, 0u);
+    EXPECT_EQ(inverse_mismatches, 0u);
 
     const TreePermutation perm(extents);
     ASSERT_EQ(perm.size(), schedule.size());
